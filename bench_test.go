@@ -12,14 +12,12 @@ package cogdiff
 import (
 	"fmt"
 	"math/rand"
-	"os"
 	"runtime"
 	"testing"
 
 	"cogdiff/internal/bytecode"
 	"cogdiff/internal/concolic"
 	"cogdiff/internal/core"
-	"cogdiff/internal/excache"
 	"cogdiff/internal/fuzzer"
 	"cogdiff/internal/heap"
 	"cogdiff/internal/interp"
@@ -69,12 +67,8 @@ func BenchmarkTable2Campaign(b *testing.B) {
 // deterministic merge keeps every variant's output byte-identical; only
 // wall-clock changes. The telemetry=on variants quantify the overhead of
 // full metric collection (EXPERIMENTS.md records the numbers; the
-// contract is <3%). The cache=cold/cache=warm variants measure the
-// persistent exploration cache (internal/excache): cold populates a
-// fresh directory each iteration, warm replays a pre-populated one (the
-// acceptance contract is warm >= 3x faster than cold). Every iteration
-// builds its configuration from scratch, so -benchtime and -count runs
-// are independent.
+// contract is <3%). Every iteration builds its configuration from
+// scratch, so -benchtime and -count runs are independent.
 func BenchmarkCampaignParallel(b *testing.B) {
 	benchConfig := func(workers int, withTelemetry bool) core.Config {
 		cfg := core.DefaultConfig()
@@ -103,49 +97,6 @@ func BenchmarkCampaignParallel(b *testing.B) {
 			b.ReportMetric(float64(res.TotalDifferences()), "differences/op")
 		})
 	}
-	b.Run("workers=1/cache=cold", func(b *testing.B) {
-		var res *core.CampaignResult
-		for i := 0; i < b.N; i++ {
-			b.StopTimer()
-			dir, err := os.MkdirTemp("", "cogdiff-bench-cache-*")
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.StartTimer()
-			cfg := benchConfig(1, false)
-			cache, err := excache.Open(excache.Config{Dir: dir, Mode: excache.ModeRW})
-			if err != nil {
-				b.Fatal(err)
-			}
-			cfg.Cache = cache
-			res = core.NewCampaign(cfg).Run()
-			b.StopTimer()
-			os.RemoveAll(dir)
-			b.StartTimer()
-		}
-		b.ReportMetric(float64(res.TotalDifferences()), "differences/op")
-	})
-	b.Run("workers=1/cache=warm", func(b *testing.B) {
-		dir := b.TempDir()
-		warmup := benchConfig(1, false)
-		cache, err := excache.Open(excache.Config{Dir: dir, Mode: excache.ModeRW})
-		if err != nil {
-			b.Fatal(err)
-		}
-		warmup.Cache = cache
-		core.NewCampaign(warmup).Run()
-		b.ResetTimer()
-		var res *core.CampaignResult
-		for i := 0; i < b.N; i++ {
-			cfg := benchConfig(1, false)
-			cfg.Cache, err = excache.Open(excache.Config{Dir: dir, Mode: excache.ModeRW})
-			if err != nil {
-				b.Fatal(err)
-			}
-			res = core.NewCampaign(cfg).Run()
-		}
-		b.ReportMetric(float64(res.TotalDifferences()), "differences/op")
-	})
 }
 
 // BenchmarkFuzzThroughput measures the coverage-guided sequence fuzzing

@@ -1,6 +1,5 @@
 // Command cogdiff-lint runs the repository's invariant linters (see
-// internal/analyzers): determinism hazards, cache-key version stamps and
-// telemetry metric naming.
+// internal/analyzers): determinism hazards and telemetry metric naming.
 //
 // It speaks two protocols:
 //

@@ -16,10 +16,7 @@ import (
 // bench-export measures one engine end to end and emits a machine-
 // readable benchmark record (BENCH_campaign.json / BENCH_fuzz.json), so
 // the perf trajectory of this and future changes lives in versionable
-// JSON history instead of prose. With -cache-dir, the campaign mode runs
-// cold (empty cache) then warm, verifies the deterministic report
-// surfaces are byte-identical, and records the speedup; -min-speedup
-// turns the measurement into a CI gate (make cache-smoke).
+// JSON history instead of prose.
 
 // benchSchema stamps the record layout; bump on field changes.
 // Schema 2 (raw-speed overhaul) adds the compiled-code cache hit rate,
@@ -33,7 +30,10 @@ import (
 // campaign wall time spent in the static verifier (its own telemetry
 // histogram over the measured iterations' wall time), and
 // verifierViolations counts static rejections (zero on a sound tree).
-const benchSchema = "cogdiff-bench/4"
+// Schema 5 (caches removed) drops the exploration- and code-cache hit
+// rates and the cold/warm split, and adds verifierAnalyses: the full
+// verifier analyses of one serial campaign in a fresh process.
+const benchSchema = "cogdiff-bench/5"
 
 // benchRecord is one exported measurement.
 type benchRecord struct {
@@ -45,16 +45,10 @@ type benchRecord struct {
 	Iterations int    `json:"iterations"`
 	Workers    int    `json:"workers"`
 
-	// NsPerOp and AllocsPerOp measure the steady state: the warm runs
-	// when a cache directory is in play, the plain runs otherwise.
-	NsPerOp     int64   `json:"nsPerOp"`
-	AllocsPerOp uint64  `json:"allocsPerOp"`
-	Differences int     `json:"differences"`
-	HitRate     float64 `json:"cacheHitRate"`
-	// CodeCacheHitRate is the in-process compiled-code cache's hit rate
-	// over the measured runs (distinct from the on-disk exploration
-	// cache's cacheHitRate above).
-	CodeCacheHitRate float64 `json:"codeCacheHitRate"`
+	// NsPerOp and AllocsPerOp average the measured iterations.
+	NsPerOp     int64  `json:"nsPerOp"`
+	AllocsPerOp uint64 `json:"allocsPerOp"`
+	Differences int    `json:"differences"`
 
 	// CompilerUnits maps each compiler in the measured campaign to its
 	// tested-instruction count, so a record documents which compiler set
@@ -63,23 +57,23 @@ type benchRecord struct {
 
 	// Per-path allocation economics, campaign records only: warm is the
 	// steady-state cost of testing one more path of an explored unit
-	// (pooled environments, warm code cache, shared reference); fresh is
-	// the pre-overhaul boot-and-compile-per-call cost, re-measured on
-	// this machine so the reduction ratio is hardware-honest.
+	// (pooled environments, shared reference); fresh is the same work
+	// booting fresh environments and recomputing the reference per call,
+	// re-measured on this machine. A recorded trajectory, not a gate.
 	PerPathAllocsWarm     float64 `json:"perPathAllocsWarm,omitempty"`
 	PerPathAllocsFresh    float64 `json:"perPathAllocsFresh,omitempty"`
 	PerPathAllocReduction float64 `json:"perPathAllocReduction,omitempty"`
 
-	// Verifier economics, campaign records only: the static IR
-	// verifier's share of campaign wall time (its self-timed telemetry
-	// histogram over the measured wall time — subtracting two noisy
-	// wall clocks could not support a few-percent gate) and the total
-	// violations it raised across the measured iterations. The
-	// histogram sums across workers, so the share is a CPU share:
-	// gate it at -workers 1, where it equals the wall-time share.
-	// Cached campaign records carry the cold run's violation count and
-	// no share — the measured warm iterations replay compiles from the
-	// exploration cache, so the verifier never runs in them.
+	// Verifier economics, campaign records only. VerifierAnalyses counts
+	// the full verifier analyses of one serial campaign run first in the
+	// process, while the verified-clean cache is empty: a deterministic
+	// work counter that -gate-verifier-analyses holds to the committed
+	// record. VerifierNsShare is the verifier's self-timed share of the
+	// measured iterations' wall time (a CPU share at -workers > 1),
+	// recorded but not gated: wall-clock ratios sit inside their own
+	// run-to-run noise. VerifierViolations totals static rejections
+	// over every run (zero on a sound tree).
+	VerifierAnalyses   int64   `json:"verifierAnalyses,omitempty"`
 	VerifierNsShare    float64 `json:"verifierNsShare,omitempty"`
 	VerifierViolations int64   `json:"verifierViolations,omitempty"`
 
@@ -88,11 +82,6 @@ type benchRecord struct {
 	// BaselineSpeedup is this measurement against it.
 	BaselineNsPerOp int64   `json:"baselineNsPerOp,omitempty"`
 	BaselineSpeedup float64 `json:"baselineSpeedup,omitempty"`
-
-	// Cold/warm split and speedup, present only for cached campaign runs.
-	ColdNsPerOp int64   `json:"coldNsPerOp,omitempty"`
-	WarmNsPerOp int64   `json:"warmNsPerOp,omitempty"`
-	Speedup     float64 `json:"speedup,omitempty"`
 
 	// Served-job throughput and latency quantiles, present only for
 	// serve records (jobs submitted concurrently over HTTP to an
@@ -105,15 +94,11 @@ type benchRecord struct {
 func runBenchExport(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("bench-export", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	iterations := fs.Int("iterations", 3, "measured iterations (after the cold run, when caching)")
+	iterations := fs.Int("iterations", 3, "measured iterations")
 	workers := fs.Int("workers", 0, "worker goroutines (0 = GOMAXPROCS)")
-	cacheDir := fs.String("cache-dir", "", "campaign mode: measure cold vs warm through this cache directory")
-	minSpeedup := fs.Float64("min-speedup", 0, "fail unless warm speedup over cold reaches this factor")
 	baseline := fs.String("baseline", "", "committed BENCH_*.json to gate against (carries the pre-overhaul baselineNsPerOp forward)")
 	minBaselineSpeedup := fs.Float64("min-baseline-speedup", 0, "fail unless this run beats the baseline's pre-overhaul time by this factor (requires -baseline)")
-	minAllocReduction := fs.Float64("min-alloc-reduction", 0, "campaign mode: fail unless warm per-path allocs undercut the fresh-boot measurement by this fraction (0..1)")
-	minCodeCacheHitRate := fs.Float64("min-codecache-hitrate", 0, "fail unless the in-process compiled-code cache's hit rate reaches this fraction (0..1)")
-	maxVerifierShare := fs.Float64("max-verifier-share", 0, "campaign mode: fail if the static IR verifier's share of wall time exceeds this fraction (0..1)")
+	gateVerifierAnalyses := fs.Bool("gate-verifier-analyses", false, "campaign mode: fail if the fresh-process verifier analysis count exceeds the -baseline record's")
 	out := fs.String("out", "", "write the JSON record to this file (default stdout)")
 	lint := fs.Bool("lint", false, "validate existing BENCH_*.json files instead of measuring")
 	fuzzBudget := fs.Int("fuzz-budget", 2000, "fuzz mode: execution budget per iteration")
@@ -153,7 +138,7 @@ func runBenchExport(args []string, stdout, stderr io.Writer) int {
 	var err error
 	switch fs.Arg(0) {
 	case "campaign":
-		rec, err = benchCampaign(*iterations, *workers, *cacheDir, *minSpeedup, *maxVerifierShare)
+		rec, err = benchCampaign(*iterations, *workers)
 	case "fuzz":
 		rec, err = benchFuzz(*iterations, *workers, *fuzzBudget)
 	case "serve":
@@ -165,27 +150,18 @@ func runBenchExport(args []string, stdout, stderr io.Writer) int {
 		return fail(err)
 	}
 	if rec.Name == "campaign" {
-		// Per-path allocation economics, measured fresh on this machine:
-		// committed ratios from other hardware would gate nothing.
+		// Per-path allocation economics, measured on this machine.
 		warm, fresh := cogdiff.MeasurePerPathAllocs()
 		rec.PerPathAllocsWarm, rec.PerPathAllocsFresh = warm, fresh
 		if fresh > 0 {
 			rec.PerPathAllocReduction = 1 - warm/fresh
 		}
-		if *minAllocReduction > 0 && rec.PerPathAllocReduction < *minAllocReduction {
-			return fail(fmt.Errorf("bench-export: per-path alloc reduction %.1f%% below required %.1f%% (warm %.1f, fresh %.1f allocs/path)",
-				100*rec.PerPathAllocReduction, 100**minAllocReduction, warm, fresh))
-		}
-	}
-	if *minCodeCacheHitRate > 0 && rec.CodeCacheHitRate < *minCodeCacheHitRate {
-		// The generational code cache must keep hot entries resident; the
-		// old flush-whole eviction zeroed the warm hit rate of long runs,
-		// which this gate pins against regressing.
-		return fail(fmt.Errorf("bench-export: code-cache hit rate %.1f%% below required %.1f%%",
-			100*rec.CodeCacheHitRate, 100**minCodeCacheHitRate))
 	}
 	if *minBaselineSpeedup > 0 && *baseline == "" {
 		return fail(fmt.Errorf("bench-export: -min-baseline-speedup requires -baseline"))
+	}
+	if *gateVerifierAnalyses && (*baseline == "" || rec.Name != "campaign") {
+		return fail(fmt.Errorf("bench-export: -gate-verifier-analyses requires -baseline and the campaign mode"))
 	}
 	if *baseline != "" {
 		base, berr := loadBenchBaseline(*baseline, rec.Name)
@@ -205,6 +181,15 @@ func runBenchExport(args []string, stdout, stderr io.Writer) int {
 		if *minBaselineSpeedup > 0 && rec.BaselineSpeedup < *minBaselineSpeedup {
 			return fail(fmt.Errorf("bench-export: %.2fx over the pre-overhaul baseline, required %.2fx (baseline %s, now %s)",
 				rec.BaselineSpeedup, *minBaselineSpeedup, time.Duration(rec.BaselineNsPerOp), time.Duration(rec.NsPerOp)))
+		}
+		if *gateVerifierAnalyses {
+			if base.VerifierAnalyses <= 0 {
+				return fail(fmt.Errorf("bench-export: %s records no verifierAnalyses to gate against", *baseline))
+			}
+			if rec.VerifierAnalyses > base.VerifierAnalyses {
+				return fail(fmt.Errorf("bench-export: %d full verifier analyses in a fresh serial campaign, the committed record allows %d",
+					rec.VerifierAnalyses, base.VerifierAnalyses))
+			}
 		}
 	}
 	rec.Schema = benchSchema
@@ -262,60 +247,28 @@ func measure(fn func() error) (time.Duration, uint64, error) {
 	return elapsed, after.Mallocs - before.Mallocs, err
 }
 
-// deterministicSurfaces concatenates the report surfaces that are pure
-// functions of the campaign configuration (Figures 6/7 embed wall-clock
-// times and are excluded; with a warm cache even they replay the cold
-// run's timings, but the byte-identity contract is checked on the
-// surfaces that hold for every cache state).
-func deterministicSurfaces(s *cogdiff.CampaignSummary) string {
-	return s.StableReport()
-}
-
-func benchCampaign(iterations, workers int, cacheDir string, minSpeedup, maxVerifierShare float64) (*benchRecord, error) {
+func benchCampaign(iterations, workers int) (*benchRecord, error) {
 	rec := &benchRecord{Name: "campaign"}
-	opts := cogdiff.CampaignOptions{Workers: workers}
 
-	var baseline string
-	var coldNS int64
-	var verifierViolations int64
-	if cacheDir != "" {
-		// Cold run: populate the cache from nothing. The warm iterations
-		// replay compiles from the cache, so the cold run is where the
-		// verifier actually sees the catalog — its violation count (zero
-		// on a sound tree) rides into the record from here.
-		coldReg := telemetry.NewRegistry()
-		opts.Metrics = coldReg
-		opts.CacheDir = cacheDir
-		opts.CacheMode = "rw"
-		var cold *cogdiff.CampaignSummary
-		elapsed, _, err := measure(func() error {
-			var rerr error
-			cold, rerr = cogdiff.RunCampaign(opts)
-			return rerr
-		})
-		if err != nil {
-			return nil, err
-		}
-		coldNS = elapsed.Nanoseconds()
-		rec.ColdNsPerOp = coldNS
-		baseline = deterministicSurfaces(cold)
-		verifierViolations += coldReg.Counter(telemetry.MetricIRVerifyViolations).Value()
+	// The counting run: one serial campaign, first in the process, so the
+	// process-wide verified-clean cache starts empty and the number of
+	// full verifier analyses is a deterministic function of the catalog.
+	countReg := telemetry.NewRegistry()
+	if _, err := cogdiff.RunCampaign(cogdiff.CampaignOptions{Workers: 1, Metrics: countReg}); err != nil {
+		return nil, err
 	}
+	rec.VerifierAnalyses = countReg.Counter(telemetry.MetricIRVerifyAnalyses).Value()
+	verifierViolations := countReg.Counter(telemetry.MetricIRVerifyViolations).Value()
 
-	// Measured iterations: warm when caching, plain otherwise. Uncached
-	// iterations each get a fresh registry so the verifier's self-timed
-	// cost and violation count accumulate over exactly the measured
-	// work; warm iterations replay compiles from the cache — the
-	// verifier never runs — so they stay registry-free and the cold/warm
-	// speedup is not diluted by telemetry overhead.
+	// Measured iterations each get a fresh registry so the verifier's
+	// self-timed cost and violation count accumulate over exactly the
+	// measured work.
+	opts := cogdiff.CampaignOptions{Workers: workers}
 	var totalNS int64
 	var totalAllocs uint64
 	var verifierSeconds float64
 	for i := 0; i < iterations; i++ {
-		var reg *telemetry.Registry
-		if cacheDir == "" {
-			reg = telemetry.NewRegistry()
-		}
+		reg := telemetry.NewRegistry()
 		opts.Metrics = reg
 		var sum *cogdiff.CampaignSummary
 		elapsed, allocs, err := measure(func() error {
@@ -328,47 +281,20 @@ func benchCampaign(iterations, workers int, cacheDir string, minSpeedup, maxVeri
 		}
 		totalNS += elapsed.Nanoseconds()
 		totalAllocs += allocs
-		if reg != nil {
-			verifierSeconds += reg.Histogram(telemetry.MetricIRVerifySeconds, telemetry.DurationBuckets).Sum()
-			verifierViolations += reg.Counter(telemetry.MetricIRVerifyViolations).Value()
-		}
+		verifierSeconds += reg.Histogram(telemetry.MetricIRVerifySeconds, telemetry.DurationBuckets).Sum()
+		verifierViolations += reg.Counter(telemetry.MetricIRVerifyViolations).Value()
 		rec.Differences = sum.TotalDifferences
-		rec.HitRate = sum.Cache.HitRate()
-		rec.CodeCacheHitRate = sum.CodeCache.HitRate()
 		rec.CompilerUnits = make(map[string]int, len(sum.Rows))
 		for _, row := range sum.Rows {
 			rec.CompilerUnits[row.Compiler] = row.Instructions
 		}
-		if cacheDir != "" {
-			if got := deterministicSurfaces(sum); got != baseline {
-				return nil, fmt.Errorf("bench-export: warm campaign report diverged from cold (cache unsound)")
-			}
-		}
 	}
 	rec.NsPerOp = totalNS / int64(iterations)
 	rec.AllocsPerOp = totalAllocs / uint64(iterations)
-	// The verifier's share comes from its own telemetry histogram, not a
-	// wall-clock on/off subtraction: two noisy wall times differenced
-	// cannot support a few-percent threshold, the verifier's self-timed
-	// total can.
 	if totalNS > 0 {
 		rec.VerifierNsShare = verifierSeconds / (float64(totalNS) / 1e9)
 	}
 	rec.VerifierViolations = verifierViolations
-	if maxVerifierShare > 0 && rec.VerifierNsShare > maxVerifierShare {
-		return nil, fmt.Errorf("bench-export: verifier share %.2f%% of campaign wall time exceeds the %.2f%% budget",
-			100*rec.VerifierNsShare, 100*maxVerifierShare)
-	}
-	if cacheDir != "" {
-		rec.WarmNsPerOp = rec.NsPerOp
-		if rec.WarmNsPerOp > 0 {
-			rec.Speedup = float64(coldNS) / float64(rec.WarmNsPerOp)
-		}
-		if minSpeedup > 0 && rec.Speedup < minSpeedup {
-			return nil, fmt.Errorf("bench-export: warm speedup %.2fx below required %.2fx (cold %s, warm %s)",
-				rec.Speedup, minSpeedup, time.Duration(coldNS), time.Duration(rec.WarmNsPerOp))
-		}
-	}
 	return rec, nil
 }
 
@@ -389,7 +315,6 @@ func benchFuzz(iterations, workers, budget int) (*benchRecord, error) {
 		totalNS += elapsed.Nanoseconds()
 		totalAllocs += allocs
 		rec.Differences = len(sum.Differences)
-		rec.CodeCacheHitRate = sum.CodeCache.HitRate()
 	}
 	rec.NsPerOp = totalNS / int64(iterations)
 	rec.AllocsPerOp = totalAllocs / uint64(iterations)
@@ -397,8 +322,8 @@ func benchFuzz(iterations, workers, budget int) (*benchRecord, error) {
 }
 
 // lintBenchFile validates one exported record: parseable JSON, the
-// current schema stamp, and sane measurement fields. make cache-smoke
-// runs it over the BENCH files the bench target just wrote.
+// current schema stamp, and sane measurement fields. make bench runs it
+// over the BENCH files it just wrote.
 func lintBenchFile(path string) error {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -420,12 +345,6 @@ func lintBenchFile(path string) error {
 	if rec.Iterations < 1 {
 		return fmt.Errorf("%s: iterations %d, want >= 1", path, rec.Iterations)
 	}
-	if rec.HitRate < 0 || rec.HitRate > 1 {
-		return fmt.Errorf("%s: cacheHitRate %v outside [0, 1]", path, rec.HitRate)
-	}
-	if rec.CodeCacheHitRate < 0 || rec.CodeCacheHitRate > 1 {
-		return fmt.Errorf("%s: codeCacheHitRate %v outside [0, 1]", path, rec.CodeCacheHitRate)
-	}
 	if rec.PerPathAllocReduction < 0 || rec.PerPathAllocReduction > 1 {
 		return fmt.Errorf("%s: perPathAllocReduction %v outside [0, 1]", path, rec.PerPathAllocReduction)
 	}
@@ -437,6 +356,9 @@ func lintBenchFile(path string) error {
 	}
 	if rec.VerifierNsShare < 0 || rec.VerifierNsShare > 1 {
 		return fmt.Errorf("%s: verifierNsShare %v outside [0, 1]", path, rec.VerifierNsShare)
+	}
+	if rec.Name == "campaign" && rec.VerifierAnalyses <= 0 {
+		return fmt.Errorf("%s: campaign record carries no verifierAnalyses (the verify-smoke gate would gate nothing)", path)
 	}
 	if rec.VerifierViolations < 0 {
 		return fmt.Errorf("%s: verifierViolations %d, want >= 0", path, rec.VerifierViolations)

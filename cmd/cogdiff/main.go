@@ -39,11 +39,9 @@
 // count.
 //
 // The campaign, table/figure, difftest and fuzz verbs share the
-// exploration-cache flags -cache-dir <dir> and -cache off|ro|rw, and the
 // observability flags -metrics <file>, -metrics-format json|prom,
-// -trace <file> and -profile <file>. Both layers are pure with respect
-// to results: all printed reports are byte-identical with the cache or
-// telemetry on or off.
+// -trace <file> and -profile <file>. Telemetry is pure with respect to
+// results: all printed reports are byte-identical with it on or off.
 package main
 
 import (
@@ -136,7 +134,6 @@ func run(argv []string, stdout, stderr io.Writer) int {
 		defectStackLeak := fs.Bool("defect-verify-stackleak", false, "enable the verifier-targeted defect: peephole drops a pop, caught statically")
 		noVerify := fs.Bool("no-verify", false, "disable the static IR verifier (on by default)")
 		dumpIR := fs.String("dump-ir", "", "also dump every compilation stage: 'stdout' or a file path")
-		cacheDir, cacheMode := cacheFlags(fs)
 		obs := obsFlags(fs)
 		if err := fs.Parse(args); err != nil {
 			return 2
@@ -168,7 +165,6 @@ func run(argv []string, stdout, stderr io.Writer) int {
 				Pristine: *pristine, ConstFoldSignError: *defectConstfold,
 				MetaJITGuardSignError: *defectMetaGuard, Metrics: obs.reg,
 				VerifyStackLeak: *defectStackLeak, NoVerify: *noVerify,
-				CacheDir: *cacheDir, CacheMode: *cacheMode,
 			}
 			res, err = cogdiff.TestInstructionWith(fs.Arg(0), fs.Arg(1), cfg)
 		}
@@ -210,7 +206,6 @@ func run(argv []string, stdout, stderr io.Writer) int {
 		minimize := fs.Bool("minimize", true, "reduce every difference to a 1-minimal sequence")
 		emitTests := fs.String("emit-tests", "", "write reduced differences to this path as a Go test file")
 		progress := fs.Bool("progress", false, "report live progress on stderr")
-		cacheDir, cacheMode := cacheFlags(fs)
 		obs := obsFlags(fs)
 		if err := fs.Parse(args); err != nil {
 			return 2
@@ -230,8 +225,6 @@ func run(argv []string, stdout, stderr io.Writer) int {
 			CorpusPath:    *corpus,
 			SeedCorpusDir: *seedCorpus,
 			EmitTests:     *emitTests,
-			CacheDir:      *cacheDir,
-			CacheMode:     *cacheMode,
 		}
 		if n, err := strconv.Atoi(*budget); err == nil {
 			if n <= 0 {
@@ -270,7 +263,6 @@ func run(argv []string, stdout, stderr io.Writer) int {
 		workers := fs.Int("workers", 0, "worker goroutines for the campaign (0 = GOMAXPROCS, 1 = serial)")
 		stable := fs.Bool("stable", false, "print only the deterministic report surfaces (Table 2/3, Figure 5, causes)")
 		progress := fs.Bool("progress", false, "report live progress on stderr")
-		cacheDir, cacheMode := cacheFlags(fs)
 		obs := obsFlags(fs)
 		if err := fs.Parse(args); err != nil {
 			return 2
@@ -290,7 +282,6 @@ func run(argv []string, stdout, stderr io.Writer) int {
 			MetaJITGuardSignError: *defectMetaGuard, Compilers: compilers,
 			VerifyStackLeak: *defectStackLeak, NoVerify: *noVerify,
 			Workers: *workers, Metrics: obs.reg,
-			CacheDir: *cacheDir, CacheMode: *cacheMode,
 		}
 		sum, err := cogdiff.RunCampaign(opts)
 		if err != nil {
@@ -336,7 +327,6 @@ func run(argv []string, stdout, stderr io.Writer) int {
 		defectStackLeak := fs.Bool("defect-verify-stackleak", false, "seed the verifier-targeted defect: peephole drops a pop")
 		compilersSpec := fs.String("compilers", "", "compiler set to sweep (default: all five)")
 		workers := fs.Int("workers", 0, "worker goroutines for the sweep (0 = GOMAXPROCS, 1 = serial)")
-		cacheDir, cacheMode := cacheFlags(fs)
 		obs := obsFlags(fs)
 		if err := fs.Parse(args); err != nil {
 			return 2
@@ -358,7 +348,6 @@ func run(argv []string, stdout, stderr io.Writer) int {
 			Pristine: *pristine, ConstFoldSignError: *defectConstfold,
 			MetaJITGuardSignError: *defectMetaGuard, VerifyStackLeak: *defectStackLeak,
 			Compilers: compilers, Workers: *workers, Metrics: obs.reg,
-			CacheDir: *cacheDir, CacheMode: *cacheMode,
 		})
 		if err != nil {
 			return fail(err)
@@ -504,24 +493,12 @@ func counterTotal(s telemetry.Snapshot, name string) int64 {
 	return total
 }
 
-// cacheFlags declares the exploration-cache flag pair shared by the
-// campaign, table/figure, difftest and fuzz verbs.
-func cacheFlags(fs *flag.FlagSet) (dir, mode *string) {
-	dir = fs.String("cache-dir", "", "persistent exploration-cache directory (empty = cache disabled)")
-	mode = fs.String("cache", "", "exploration-cache mode: off, ro or rw (default rw when -cache-dir is set)")
-	return dir, mode
-}
-
 func renderCampaignProgress(s telemetry.Snapshot) string {
-	return fmt.Sprintf("paths %d, units tested %d, differences %d, panics contained %d, cache-stats hits %d misses %d corrupt %d fingerprint-errors %d",
+	return fmt.Sprintf("paths %d, units tested %d, differences %d, panics contained %d",
 		counterTotal(s, telemetry.MetricPathsExplored),
 		counterTotal(s, telemetry.MetricUnitsTested),
 		counterTotal(s, telemetry.MetricDifferences),
-		counterTotal(s, telemetry.MetricPanicsContained),
-		counterTotal(s, telemetry.MetricCacheHits),
-		counterTotal(s, telemetry.MetricCacheMisses),
-		counterTotal(s, telemetry.MetricCacheCorrupt),
-		counterTotal(s, telemetry.MetricUnitCacheFingerprintErrors))
+		counterTotal(s, telemetry.MetricPanicsContained))
 }
 
 func renderFuzzProgress(s telemetry.Snapshot) string {
@@ -557,20 +534,17 @@ func usage(w io.Writer) {
                exits 1 on any violation)
   cogdiff table1|table2|table3|fig5|fig6|fig7 [-workers n] [-compilers spec]
   cogdiff serve [-addr host:port] [-workers n] [-max-jobs n]
-               [-cache-dir dir] [-cache mode] [-corpus-dir dir]
+               [-corpus-dir dir]
   cogdiff submit [-addr url] [-poll dur] [-connect-timeout dur] [-progress]
                campaign|difftest|fuzz [options] [args]
   cogdiff fuzz [-seed n] [-budget n|30s] [-workers n] [-compilers spec]
                [-corpus file.json] [-seed-corpus dir] [-minimize]
                [-emit-tests file_test.go] [-progress]
-  cogdiff bench-export [-iterations n] [-workers n] [-cache-dir dir]
-               [-min-speedup x] [-out file.json] campaign|fuzz
+  cogdiff bench-export [-iterations n] [-workers n] [-baseline file.json]
+               [-min-baseline-speedup x] [-gate-verifier-analyses]
+               [-out file.json] campaign|fuzz|serve
   cogdiff bench-export -lint file.json...
   cogdiff metrics-lint <metrics.prom>
-
-exploration cache (campaign, table*/fig*, difftest, fuzz):
-  -cache-dir dir        persistent exploration-cache directory
-  -cache mode           off, ro or rw (default rw when -cache-dir is set)
 
 compiler sets (campaign, table*/fig*, fuzz):
   -compilers spec       comma-separated compiler names for an exact set, or

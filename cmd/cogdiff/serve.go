@@ -26,7 +26,6 @@ func runServe(args []string, stdout, stderr io.Writer) int {
 	workers := fs.Int("workers", 0, "default worker goroutines per job (0 = GOMAXPROCS, 1 = serial)")
 	maxJobs := fs.Int("max-jobs", 2, "concurrently running jobs")
 	corpusDir := fs.String("corpus-dir", "", "directory persisting the shared fuzzing corpus (empty = in-memory)")
-	cacheDir, cacheMode := cacheFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -47,8 +46,6 @@ func runServe(args []string, stdout, stderr io.Writer) int {
 
 	srv, err := server.New(server.Config{
 		Workers:   *workers,
-		CacheDir:  *cacheDir,
-		CacheMode: *cacheMode,
 		CorpusDir: *corpusDir,
 		MaxJobs:   *maxJobs,
 	})
@@ -167,7 +164,6 @@ func parseSubmitSpec(kind string, args []string, stderr io.Writer) (*server.JobS
 		defectMetaGuard := fs.Bool("defect-metajit-guard", false, "enable the meta-compiler guard-sign defect (metajit only)")
 		compilers := fs.String("compilers", "", "compiler set: exact list like simple,metajit or additions like +metajit")
 		workers := fs.Int("workers", 0, "worker goroutines for the campaign (0 = the server's default)")
-		cache := fs.String("cache", "", "override the server's cache mode for this job: off, ro or rw")
 		if err := fs.Parse(args); err != nil {
 			return nil, 2
 		}
@@ -180,7 +176,6 @@ func parseSubmitSpec(kind string, args []string, stderr io.Writer) (*server.JobS
 			MetaJITGuardSignError: *defectMetaGuard,
 			Compilers:             *compilers,
 			Workers:               *workers,
-			Cache:                 *cache,
 		}}, 0
 	case "difftest":
 		fs := flag.NewFlagSet("submit difftest", flag.ContinueOnError)
@@ -242,8 +237,6 @@ func renderEvent(ev server.Event) string {
 		return fmt.Sprintf("differences: %d in %s on %s", ev.Differences, ev.Instruction, ev.Compiler)
 	case server.EventProgress:
 		return fmt.Sprintf("fuzz %d/%d execs, corpus %d, causes %d", ev.Done, ev.Total, ev.Corpus, ev.Differences)
-	case server.EventCacheStats:
-		return fmt.Sprintf("cache hits %d misses %d corrupt %d writes %d", ev.Hits, ev.Misses, ev.Corrupt, ev.Writes)
 	case server.EventDone:
 		return fmt.Sprintf("done: %s", ev.State)
 	}

@@ -15,10 +15,6 @@ func TestGoldenServeFlagErrors(t *testing.T) {
 		runCLIError(t, "serve", "-max-jobs", "-1"))
 	checkGolden(t, "err_serve_workers.golden",
 		runCLIError(t, "serve", "-workers", "-2"))
-	checkGolden(t, "err_serve_cache_conflict.golden",
-		runCLIError(t, "serve", "-cache", "rw"))
-	checkGolden(t, "err_serve_cache_mode.golden",
-		runCLIError(t, "serve", "-cache-dir", "/tmp/x", "-cache", "readwrite"))
 	// Port 99999 is out of range on every platform, so the listen error
 	// is stable.
 	checkGolden(t, "err_serve_addr.golden",

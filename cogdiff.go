@@ -31,46 +31,11 @@ import (
 	"cogdiff/internal/concolic"
 	"cogdiff/internal/core"
 	"cogdiff/internal/defects"
-	"cogdiff/internal/excache"
 	"cogdiff/internal/machine"
 	"cogdiff/internal/primitives"
 	"cogdiff/internal/report"
 	"cogdiff/internal/telemetry"
 )
-
-// openCache builds the exploration cache from the user-facing dir+mode
-// pair. An empty dir (or mode "off") yields a nil cache, which every
-// engine treats as "cache disabled".
-func openCache(dir, mode string, metrics *telemetry.Registry) (*excache.Cache, error) {
-	m, err := excache.ParseMode(mode)
-	if err != nil {
-		return nil, err
-	}
-	if dir == "" && mode != "" && m != excache.ModeOff {
-		return nil, fmt.Errorf("-cache %s requires -cache-dir", m)
-	}
-	return excache.Open(excache.Config{Dir: dir, Mode: m, Metrics: metrics})
-}
-
-// CacheStats reports exploration-cache traffic for one run. Corrupt
-// entries also count as misses, so Hits+Misses equals total lookups.
-type CacheStats struct {
-	Hits    int64
-	Misses  int64
-	Corrupt int64
-	Writes  int64
-	Evicted int64
-}
-
-// HitRate returns Hits/(Hits+Misses), zero when the cache saw no traffic.
-func (s CacheStats) HitRate() float64 {
-	return excache.Stats{Hits: s.Hits, Misses: s.Misses}.HitRate()
-}
-
-func cacheStatsOf(c *excache.Cache) CacheStats {
-	s := c.Stats()
-	return CacheStats{Hits: s.Hits, Misses: s.Misses, Corrupt: s.Corrupt, Writes: s.Writes, Evicted: s.Evicted}
-}
 
 // Compiler names accepted by TestInstruction.
 const (
@@ -366,11 +331,6 @@ type TestConfig struct {
 	// telemetry for the test. Pure observation sink: results are
 	// identical with or without it.
 	Metrics *telemetry.Registry
-	// CacheDir, when non-empty, enables the persistent exploration cache
-	// rooted at that directory; CacheMode selects "off", "ro" or "rw"
-	// (empty = "rw"). Results are identical cached or fresh.
-	CacheDir  string
-	CacheMode string
 }
 
 func (c TestConfig) switches() defects.Switches {
@@ -404,17 +364,7 @@ func TestInstructionWith(instruction, compiler string, cfg TestConfig) (*Instruc
 	sw := cfg.switches()
 	exOpts := concolic.DefaultOptions()
 	exOpts.Metrics = cfg.Metrics
-	cache, err := openCache(cfg.CacheDir, cfg.CacheMode, cfg.Metrics)
-	if err != nil {
-		return nil, err
-	}
-	explorer := concolic.NewExplorer(prims, exOpts)
-	exKey := cache.ExplorationKey(target, exOpts)
-	ex, hit := cache.LoadExploration(exKey, target)
-	if !hit {
-		ex = explorer.Explore(target)
-		cache.StoreExploration(exKey, ex)
-	}
+	ex := concolic.NewExplorer(prims, exOpts).Explore(target)
 	tester := core.NewTester(prims, sw)
 	if cfg.NoVerify {
 		tester.SetNoVerify()
@@ -447,6 +397,7 @@ func TestInstructionWith(instruction, compiler string, cfg TestConfig) (*Instruc
 			res.Curated++
 		}
 	}
+	cfg.Metrics.LabeledCounter(telemetry.MetricDifferences, "compiler", kind.String()).Add(int64(len(res.Differences)))
 	return res, nil
 }
 
@@ -454,7 +405,7 @@ func TestInstructionWith(instruction, compiler string, cfg TestConfig) (*Instruc
 type CampaignOptions struct {
 	// Context, when non-nil, cancels the campaign: RunCampaign returns
 	// ctx.Err() promptly at the next unit boundary, with every worker
-	// goroutine joined and only complete cache entries on disk.
+	// goroutine joined.
 	Context context.Context
 	// Pristine runs the defect-free VM configuration (sanity baseline)
 	// instead of the production configuration the evaluation reproduces.
@@ -498,16 +449,6 @@ type CampaignOptions struct {
 	// latency histograms, spans). The registry is a pure observation
 	// sink: all rendered reports are byte-identical with or without it.
 	Metrics *telemetry.Registry
-	// CacheDir, when non-empty, enables the persistent exploration cache
-	// rooted at that directory: explorations and test-unit verdicts are
-	// loaded instead of recomputed when their content keys match, and
-	// written back after fresh work. All rendered reports are
-	// byte-identical with the cache off, cold or warm, at any worker
-	// count.
-	CacheDir string
-	// CacheMode selects cache participation: "off", "ro" (read, never
-	// write) or "rw". Empty means "rw" when CacheDir is set.
-	CacheMode string
 }
 
 // UnitProgress is one completed (compiler, instruction) test unit, as
@@ -547,40 +488,14 @@ type CampaignSummary struct {
 	Figure7 string
 	Causes  string
 
-	// Cache reports exploration-cache traffic (all zero when disabled).
-	Cache CacheStats
-	// FingerprintErrors counts exploration fingerprints that failed to
-	// compute; the affected units ran uncached (correct but slower).
-	FingerprintErrors int
-	// CodeCache reports the in-process compiled-code cache's hit/miss
-	// totals. Diagnostics only: counts vary with worker scheduling and
-	// excache warmth, the rendered reports never do.
-	CodeCache CodeCacheStats
-
 	Duration time.Duration
-}
-
-// CodeCacheStats mirrors core.CodeCacheStats for the public API surface.
-type CodeCacheStats struct {
-	Hits   int64 `json:"hits"`
-	Misses int64 `json:"misses"`
-}
-
-// HitRate returns hits/(hits+misses), or 0 for an idle cache.
-func (s CodeCacheStats) HitRate() float64 {
-	total := s.Hits + s.Misses
-	if total == 0 {
-		return 0
-	}
-	return float64(s.Hits) / float64(total)
 }
 
 // MeasurePerPathAllocs measures the execution core's per-path allocation
 // cost on this machine: warm is the steady state of a batched unit run
-// (pooled environments, warm compiled-code cache, shared interpreter
-// reference), fresh is the same work with every reuse layer disabled —
-// boot-per-execution and compile-per-call. bench-export records both and
-// perf-smoke gates their ratio.
+// (pooled environments, shared interpreter reference), fresh is the same
+// work with every reuse layer disabled — boot-per-execution and a
+// reference recomputed per call. bench-export records both.
 func MeasurePerPathAllocs() (warm, fresh float64) {
 	return core.MeasurePerPathAllocs(false), core.MeasurePerPathAllocs(true)
 }
@@ -589,18 +504,17 @@ func MeasurePerPathAllocs() (warm, fresh float64) {
 // of the campaign configuration: Table 2, Table 3, Figure 5 and the
 // deduplicated cause table. Figures 6/7 embed wall-clock timings and are
 // excluded. This is the byte-comparison surface shared by `cogdiff
-// campaign -stable`, bench-export's cache-soundness check, and the
-// server's campaign jobs — a sharded server run must reproduce a serial
-// CLI run byte for byte on exactly this surface.
+// campaign -stable` and the server's campaign jobs — a sharded server
+// run must reproduce a serial CLI run byte for byte on exactly this
+// surface.
 func (s *CampaignSummary) StableReport() string {
 	return s.Table2 + "\n" + s.Table3 + "\n" + s.Figure5 + "\n" + s.Causes
 }
 
 // RunCampaign executes the full evaluation: concolic exploration of every
 // VM instruction followed by differential testing on all four compilers
-// and both ISAs. The only error sources are cache misconfiguration (bad
-// mode string, unusable cache directory) and cancellation through
-// Options.Context; an uncancelled cache-less run cannot fail.
+// and both ISAs. The only error sources are an unknown compiler name and
+// cancellation through Options.Context.
 func RunCampaign(opts CampaignOptions) (*CampaignSummary, error) {
 	start := time.Now() //cogdiff:allow-nondeterminism duration is summary metadata, never report-table content
 	cfg := core.DefaultConfig()
@@ -623,11 +537,6 @@ func RunCampaign(opts CampaignOptions) (*CampaignSummary, error) {
 	}
 	cfg.Workers = opts.Workers
 	cfg.Metrics = opts.Metrics
-	cache, err := openCache(opts.CacheDir, opts.CacheMode, opts.Metrics)
-	if err != nil {
-		return nil, err
-	}
-	cfg.Cache = cache
 	if opts.OnInstructionDone != nil || opts.OnUnitDone != nil {
 		cfg.OnInstructionDone = func(ev core.InstructionDone) {
 			if opts.OnInstructionDone != nil {
@@ -661,7 +570,6 @@ func RunCampaign(opts CampaignOptions) (*CampaignSummary, error) {
 		Figure6:        report.Figure6(res),
 		Figure7:        report.Figure7(res),
 		Causes:         report.Causes(res),
-		CodeCache:      CodeCacheStats{Hits: res.CodeCache.Hits, Misses: res.CodeCache.Misses},
 		Duration:       time.Since(start), //cogdiff:allow-nondeterminism duration is summary metadata, never report-table content
 	}
 	for _, r := range res.Reports {
@@ -679,8 +587,6 @@ func RunCampaign(opts CampaignOptions) (*CampaignSummary, error) {
 		out.CausesByFamily[fam.String()] = n
 	}
 	out.TotalCauses = len(res.Causes)
-	out.Cache = cacheStatsOf(cache)
-	out.FingerprintErrors = res.FingerprintErrors
 	return out, nil
 }
 
@@ -711,10 +617,6 @@ type VerifyIROptions struct {
 	Workers int
 	// Metrics, when non-nil, collects exploration and verifier telemetry.
 	Metrics *telemetry.Registry
-	// CacheDir/CacheMode share the exploration cache with ordinary
-	// campaigns: a sweep after a campaign re-explores nothing.
-	CacheDir  string
-	CacheMode string
 }
 
 // VerifyIRSummary is the outcome of a compile-only verification sweep.
@@ -761,11 +663,6 @@ func VerifyIR(opts VerifyIROptions) (*VerifyIRSummary, error) {
 	}
 	cfg.Workers = opts.Workers
 	cfg.Metrics = opts.Metrics
-	cache, err := openCache(opts.CacheDir, opts.CacheMode, opts.Metrics)
-	if err != nil {
-		return nil, err
-	}
-	cfg.Cache = cache
 	ctx := opts.Context
 	if ctx == nil {
 		ctx = context.Background()

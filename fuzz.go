@@ -53,12 +53,6 @@ type FuzzOptions struct {
 	// and batch/span timings. It is a pure observation sink: all rendered
 	// reports are byte-identical with or without it.
 	Metrics *telemetry.Registry
-	// CacheDir and CacheMode accept the campaign-wide exploration-cache
-	// flags for CLI uniformity. Sequence fuzzing performs no per-
-	// instruction concolic exploration, so the cache is validated and
-	// opened but sees no traffic (BENCH_fuzz.json reports hit rate 0).
-	CacheDir  string
-	CacheMode string
 }
 
 // FuzzDifference is one deduplicated difference cause found by fuzzing.
@@ -89,10 +83,6 @@ type FuzzSummary struct {
 	SeededCausesRediscovered []string
 	// Report is the deterministic plain-text report.
 	Report string
-	// CodeCache reports the in-process compiled-code cache's hit/miss
-	// counts (diagnostics only; the report is byte-identical with the
-	// cache on or off).
-	CodeCache CodeCacheStats
 }
 
 // Fuzz runs a coverage-guided differential fuzzing campaign over byte-code
@@ -100,9 +90,6 @@ type FuzzSummary struct {
 // ISAs) execute each sequence, differences are classified, deduplicated by
 // cause and — with Minimize — shrunk to 1-minimal sequences.
 func Fuzz(opts FuzzOptions) (*FuzzSummary, error) {
-	if _, err := openCache(opts.CacheDir, opts.CacheMode, opts.Metrics); err != nil {
-		return nil, err
-	}
 	var kinds []core.CompilerKind
 	if len(opts.Compilers) > 0 {
 		for _, name := range opts.Compilers {
@@ -142,7 +129,6 @@ func Fuzz(opts FuzzOptions) (*FuzzSummary, error) {
 		CoverageBits:             res.CoverageBits,
 		SeededCausesRediscovered: res.Matched,
 		Report:                   fuzzer.Report(res),
-		CodeCache:                CodeCacheStats{Hits: res.CodeCache.Hits, Misses: res.CodeCache.Misses},
 	}
 	for _, d := range res.Differences {
 		fd := FuzzDifference{

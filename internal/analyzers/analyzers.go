@@ -1,7 +1,7 @@
 // Package analyzers implements the repository's invariant linters:
 // static analyses over the cogdiff source tree that catch determinism
-// hazards and cache-key versioning mistakes before they can corrupt the
-// byte-identical report surface.
+// hazards and telemetry naming drift before they can corrupt the
+// byte-identical report surface or the metrics contract.
 //
 // The package is deliberately self-contained — parsed ASTs plus go/types
 // over the standard library only — so the linters run in two harnesses
@@ -12,7 +12,7 @@
 //     protocol, which gives per-package incremental runs under the go
 //     command's action cache.
 //
-// Three analyzers ship:
+// Two analyzers ship:
 //
 //   - determinism: no time.Now/time.Since/time.Until, no math/rand, and
 //     no ranging over maps outside test files. All three inject
@@ -20,10 +20,6 @@
 //     byte-identical report surface. Intentional sites (telemetry
 //     timings, the seeded fuzzer RNG) carry a
 //     `//cogdiff:allow-nondeterminism <reason>` directive.
-//   - semver: packages whose semantics feed persistent cache keys
-//     declare a `SemanticsVersion` constant with a `name/N` value, so a
-//     semantic change has one audited place to bump — and stale cache
-//     entries orphan instead of resurfacing.
 //   - telemetryname: metric name constants follow the cogdiff_* naming
 //     scheme, counters end in _total and histograms in _seconds, checked
 //     at every Registry.Counter/Histogram call site via constant
@@ -71,7 +67,7 @@ type Analyzer struct {
 
 // All returns the repository's analyzer set in canonical order.
 func All() []*Analyzer {
-	return []*Analyzer{Determinism, Semver, TelemetryName}
+	return []*Analyzer{Determinism, TelemetryName}
 }
 
 // RunAll applies every analyzer to the pass and returns the findings

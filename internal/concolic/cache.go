@@ -1,8 +1,6 @@
 package concolic
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"time"
@@ -184,32 +182,6 @@ func UnmarshalExploration(data []byte) (*Exploration, error) {
 		ex.Paths = append(ex.Paths, pr)
 	}
 	return ex, nil
-}
-
-// FingerprintExploration hashes the semantic content of an exploration:
-// the target descriptor, variable universe, and every path's constraint
-// strings, witness and exit condition. Wall-clock duration is excluded,
-// so a fresh exploration and its cache round trip fingerprint
-// identically (constraints serialize to the same display strings either
-// way, and encoding/json emits map keys sorted). The differential tester
-// consumes exactly this content, which makes the fingerprint a sound
-// cache key for derived test-unit results (internal/excache).
-func FingerprintExploration(ex *Exploration) (string, error) {
-	data, err := MarshalExploration(ex)
-	if err != nil {
-		return "", err
-	}
-	var dto explorationDTO
-	if err := json.Unmarshal(data, &dto); err != nil {
-		return "", err
-	}
-	dto.DurationNS = 0
-	canon, err := json.Marshal(dto)
-	if err != nil {
-		return "", err
-	}
-	sum := sha256.Sum256(canon)
-	return hex.EncodeToString(sum[:]), nil
 }
 
 func byteOp(op int) bytecode.Op { return bytecode.Op(op) }

@@ -49,8 +49,9 @@ type Options struct {
 	MaxIterations int
 	// InterpreterDefects forwards seeded interpreter defects.
 	InterpreterDefects interp.DefectSwitches
-	// Metrics, when non-nil, counts solver invocations. Exploration
-	// results are unaffected; the counter is a pure sink.
+	// Metrics, when non-nil, counts solver invocations and each finished
+	// exploration's paths, curated-out paths and iterations. Exploration
+	// results are unaffected; the counters are a pure sink.
 	Metrics *telemetry.Registry
 	// NoReuse disables the booted-object-memory pool: every concolic
 	// execution boots a fresh heap. Booting is deterministic, so results
@@ -69,7 +70,8 @@ type Explorer struct {
 	Prims interp.PrimitiveTable
 	Opts  Options
 
-	solverCalls *telemetry.Counter // resolved once; nil when metrics are off
+	// Counters resolved once; nil when metrics are off.
+	solverCalls, paths, curatedOut, iterations *telemetry.Counter
 }
 
 // NewExplorer builds an explorer using the given native-method table.
@@ -81,6 +83,9 @@ func NewExplorer(prims interp.PrimitiveTable, opts Options) *Explorer {
 		Prims:       prims,
 		Opts:        opts,
 		solverCalls: opts.Metrics.Counter(telemetry.MetricSolverCalls),
+		paths:       opts.Metrics.Counter(telemetry.MetricPathsExplored),
+		curatedOut:  opts.Metrics.Counter(telemetry.MetricCuratedOut),
+		iterations:  opts.Metrics.Counter(telemetry.MetricExploreIterations),
 	}
 }
 
@@ -167,6 +172,9 @@ func (e *Explorer) Explore(t Target) *Exploration {
 		}
 	}
 	ex.Duration = time.Since(start) //cogdiff:allow-nondeterminism exploration timing feeds telemetry histograms only
+	e.paths.Add(int64(len(ex.Paths)))
+	e.curatedOut.Add(int64(ex.CuratedOut))
+	e.iterations.Add(int64(ex.Iterations))
 	return ex
 }
 

@@ -9,10 +9,8 @@ import (
 	"cogdiff/internal/bytecode"
 	"cogdiff/internal/concolic"
 	"cogdiff/internal/defects"
-	"cogdiff/internal/excache"
 	"cogdiff/internal/interp"
 	"cogdiff/internal/machine"
-	"cogdiff/internal/metacompile"
 	"cogdiff/internal/primitives"
 	"cogdiff/internal/telemetry"
 )
@@ -45,26 +43,14 @@ type Config struct {
 	// the difference/cause totals. It is a pure sink — reports are
 	// byte-identical with metrics on or off, at any worker count.
 	Metrics *telemetry.Registry
-	// Cache, when non-nil, is consulted before exploring each instruction
-	// and before testing each (compiler, instruction) unit, and written
-	// back after fresh work (rw mode). Exploration and verdicts are pure
-	// functions of the cache keys' inputs, so reports are byte-identical
-	// with the cache off, cold or warm, at any worker count; cached
-	// entries replay their recorded durations, so even Figures 6/7 render
-	// the originating run's timings.
-	Cache *excache.Cache
 	// faultInject, when non-nil, runs before every TestPath call, inside
 	// the containment boundary. Fault-injection tests use it to raise
 	// genuine heap panics in worker goroutines.
 	faultInject func(target concolic.Target, kind CompilerKind, isa machine.ISA)
-	// poisonExploration, when non-nil, mutates each exploration after the
-	// explore step and before unit fingerprinting. Fingerprint-error tests
-	// inject unmarshalable content (a NaN in a witness model) through it.
-	poisonExploration func(target concolic.Target, ex *concolic.Exploration)
 	// noReuse disables every raw-speed reuse layer — pooled execution
-	// environments, pooled exploration heaps, and the compiled-code
-	// cache — so each execution boots and compiles from scratch. The
-	// determinism suite diffs reports against this reference mode.
+	// environments and pooled exploration heaps — so each execution boots
+	// from scratch. The determinism suite diffs reports against this
+	// reference mode.
 	noReuse bool
 	// NoVerify disables the static IR verifier inside every compiler the
 	// campaign constructs. Verification is on by default; on a clean
@@ -145,31 +131,6 @@ type CampaignResult struct {
 	Causes  map[string]*Cause // keyed by instruction+family
 	// Explorations preserves every instruction's exploration (Figure 5/6).
 	Explorations map[string]*concolic.Exploration
-	// CodeCache reports the in-process compiled-code cache's hit/miss
-	// totals for this run. Diagnostics only — counts may vary with worker
-	// scheduling (racing double-misses) and with excache unit hits that
-	// bypass compilation entirely; reports never do.
-	CodeCache CodeCacheStats
-	// FingerprintErrors counts explorations whose unit-cache fingerprint
-	// failed to compute. Each such instruction ran every test unit
-	// uncached — correct but slow, so the count must surface rather than
-	// disappear.
-	FingerprintErrors int
-}
-
-// CodeCacheStats is the compiled-code cache activity of one run.
-type CodeCacheStats struct {
-	Hits   int64 `json:"hits"`
-	Misses int64 `json:"misses"`
-}
-
-// HitRate returns hits/(hits+misses), or 0 for an idle cache.
-func (s CodeCacheStats) HitRate() float64 {
-	total := s.Hits + s.Misses
-	if total == 0 {
-		return 0
-	}
-	return float64(s.Hits) / float64(total)
 }
 
 // TotalDifferences sums differing paths over all compilers.
@@ -259,9 +220,7 @@ func (c *Campaign) Run() *CampaignResult {
 //
 // Cancelling ctx aborts the campaign promptly at the next unit
 // boundary: in-flight units finish, every worker goroutine exits, and
-// RunContext returns (nil, ctx.Err()). Cache writes go through excache's
-// atomic temp+rename, so a cancelled campaign leaves only complete,
-// valid cache entries behind — a rerun reuses them as ordinary hits.
+// RunContext returns (nil, ctx.Err()).
 func (c *Campaign) RunContext(ctx context.Context) (*CampaignResult, error) {
 	workers := c.workerCount()
 	reg := c.Config.Metrics
@@ -282,75 +241,17 @@ func (c *Campaign) RunContext(ctx context.Context) (*CampaignResult, error) {
 	}
 
 	// Step 1: concolic exploration, shared by every compiler (its results
-	// are cached and reused, §5.4). Each instruction explores in its own
-	// universe, so units never contend. A panic inside one exploration
-	// is contained to that unit: the instruction reports zero paths and
-	// the campaign carries on.
+	// are reused across compilers, §5.4). Each instruction explores in its
+	// own universe, so units never contend.
 	bcTargets := c.BytecodeTargets()
 	nmTargets := c.PrimitiveTargets()
 	allTargets := append(append([]concolic.Target{}, bcTargets...), nmTargets...)
-	explorations := make([]*concolic.Exploration, len(allTargets))
-	exKeys := make([]string, len(allTargets))
-	for i, t := range allTargets {
-		exKeys[i] = c.Config.Cache.ExplorationKey(t, c.exploreOptions())
-	}
-	if err := RunUnitsCtx(ctx, workers, len(allTargets), func(i int) {
-		sp := reg.StartSpan(telemetry.SpanExplore)
-		defer sp.End()
-		if ex, ok := c.Config.Cache.LoadExploration(exKeys[i], allTargets[i]); ok {
-			explorations[i] = ex
-			return
-		}
-		contained := false
-		defer func() {
-			if p := recover(); p != nil {
-				c.panicsContained.Inc()
-				explorations[i] = &concolic.Exploration{Target: allTargets[i]}
-				contained = true
-			}
-			// Contained panics are not cached: the instruction should
-			// re-explore (and re-crash visibly) on the next run.
-			if !contained {
-				c.Config.Cache.StoreExploration(exKeys[i], explorations[i])
-			}
-		}()
-		explorations[i] = explorer.Explore(allTargets[i])
-	}); err != nil {
+	explorations, err := c.exploreAll(ctx, workers, explorer, allTargets)
+	if err != nil {
 		return nil, err
 	}
 	for i, t := range allTargets {
-		if c.Config.poisonExploration != nil {
-			c.Config.poisonExploration(t, explorations[i])
-		}
 		result.Explorations[explorationKey(t)] = explorations[i]
-	}
-	// Fingerprint each exploration's semantic content once; test units
-	// derive their cache keys from it, so a unit hit is only possible
-	// when the exploration that drives it is content-identical. A
-	// fingerprint failure downgrades the instruction's units to uncached
-	// runs — correct but slow — and is counted, never swallowed.
-	fingerprints := make(map[string]string, len(allTargets))
-	if c.Config.Cache != nil {
-		fpErrors := reg.Counter(telemetry.MetricUnitCacheFingerprintErrors)
-		for i, t := range allTargets {
-			fp, err := concolic.FingerprintExploration(explorations[i])
-			if err != nil {
-				fpErrors.Inc()
-				result.FingerprintErrors++
-				continue
-			}
-			fingerprints[explorationKey(t)] = fp
-		}
-	}
-	if reg != nil {
-		paths := reg.Counter(telemetry.MetricPathsExplored)
-		curated := reg.Counter(telemetry.MetricCuratedOut)
-		iters := reg.Counter(telemetry.MetricExploreIterations)
-		for _, ex := range explorations {
-			paths.Add(int64(len(ex.Paths)))
-			curated.Add(int64(ex.CuratedOut))
-			iters.Add(int64(ex.Iterations))
-		}
 	}
 
 	// Steps 2-4: one test unit per (compiler, instruction). Units write
@@ -385,12 +286,7 @@ func (c *Campaign) RunContext(ctx context.Context) (*CampaignResult, error) {
 		target := targetsByCompiler[u.compiler][u.target]
 		ex := result.Explorations[explorationKey(target)]
 		kind := result.Reports[u.compiler].Compiler
-		unitKey := c.unitCacheKey(fingerprints[explorationKey(target)], kind)
-		ir, cached := c.loadCachedUnit(unitKey, target, ex)
-		if !cached {
-			ir = c.testInstruction(tester, kind, target, ex)
-			c.storeCachedUnit(unitKey, &ir)
-		}
+		ir := c.testInstruction(tester, kind, target, ex)
 		result.Reports[u.compiler].Instructions[u.target] = ir
 		unitsTested.Inc()
 		if cb := c.Config.OnInstructionDone; cb != nil {
@@ -443,9 +339,26 @@ func (c *Campaign) RunContext(ctx context.Context) (*CampaignResult, error) {
 		}
 	}
 	mergeSpan.End()
-	hits, misses := tester.CodeCacheStats()
-	result.CodeCache = CodeCacheStats{Hits: hits, Misses: misses}
 	return result, nil
+}
+
+// exploreAll explores every target, one unit per instruction, into slots
+// indexed like targets. A panic inside one exploration is contained to
+// that unit: the instruction reports zero paths and the run carries on.
+func (c *Campaign) exploreAll(ctx context.Context, workers int, explorer *concolic.Explorer, targets []concolic.Target) ([]*concolic.Exploration, error) {
+	explorations := make([]*concolic.Exploration, len(targets))
+	err := RunUnitsCtx(ctx, workers, len(targets), func(i int) {
+		sp := c.Config.Metrics.StartSpan(telemetry.SpanExplore)
+		defer sp.End()
+		defer func() {
+			if p := recover(); p != nil {
+				c.panicsContained.Inc()
+				explorations[i] = &concolic.Exploration{Target: targets[i]}
+			}
+		}()
+		explorations[i] = explorer.Explore(targets[i])
+	})
+	return explorations, err
 }
 
 func (c *Campaign) exploreOptions() concolic.Options {
@@ -462,58 +375,6 @@ func explorationKey(t concolic.Target) string {
 	return fmt.Sprintf("%s/%s", t.Kind, t.Name)
 }
 
-// unitCacheKey derives one test unit's cache key from the exploration
-// fingerprint plus everything else a verdict depends on: the compiler
-// kind, the ISA list, and the full defect switch state (an empty
-// fingerprint disables caching for that unit).
-func (c *Campaign) unitCacheKey(explorationFP string, kind CompilerKind) string {
-	if c.Config.Cache == nil || explorationFP == "" {
-		return ""
-	}
-	parts := []string{fmt.Sprintf("compiler=%d", int(kind))}
-	if kind == MetaJITCompiler {
-		// The derived front-end's verdicts additionally depend on the
-		// generator's translation scheme: fold its semantics version in so
-		// a regenerated compiler cannot reuse stale unit results.
-		parts = append(parts, "semantics="+metacompile.SemanticsVersion)
-	}
-	for _, isa := range c.Config.ISAs {
-		parts = append(parts, fmt.Sprintf("isa=%d", int(isa)))
-	}
-	parts = append(parts, fmt.Sprintf("defects=%+v", c.Config.Defects))
-	// Verdicts depend on whether the static verifier ran: a defective
-	// pipeline yields a verifier-reject verdict with it on and a dynamic
-	// one with it off, and the exploration cache persists across runs.
-	parts = append(parts, fmt.Sprintf("verify=%t", !c.Config.NoVerify))
-	return c.Config.Cache.UnitKey(explorationFP, parts...)
-}
-
-// loadCachedUnit fetches one test unit's report from the cache. A stored
-// payload that fails to decode downgrades to a miss (the unit re-tests
-// and overwrites), mirroring the cache's corrupt-entry contract.
-func (c *Campaign) loadCachedUnit(key string, target concolic.Target, ex *concolic.Exploration) (InstructionReport, bool) {
-	payload, ok := c.Config.Cache.LoadBlob("unit", key)
-	if !ok {
-		return InstructionReport{}, false
-	}
-	ir, err := UnmarshalInstructionReport(payload, target, ex)
-	if err != nil {
-		return InstructionReport{}, false
-	}
-	return ir, true
-}
-
-func (c *Campaign) storeCachedUnit(key string, ir *InstructionReport) {
-	if c.Config.Cache == nil || key == "" {
-		return
-	}
-	payload, err := MarshalInstructionReport(ir)
-	if err != nil {
-		return
-	}
-	c.Config.Cache.StoreBlob("unit", key, payload)
-}
-
 // testInstruction runs every curated path of one instruction against one
 // compiler on every configured ISA. It touches no campaign-wide state, so
 // any number of instances may run concurrently; cause attribution happens
@@ -526,8 +387,7 @@ func (c *Campaign) testInstruction(tester *Tester, kind CompilerKind, target con
 		ExploreTime: ex.Duration,
 	}
 	// Batch the unit: the interpreter reference for each path is computed
-	// once and reused across every (compiler, ISA) pairing, and compiled
-	// bodies are shared through the tester's code cache.
+	// once and reused across every (compiler, ISA) pairing.
 	run := tester.BeginUnit(target, ex)
 	defer run.Close()
 	for _, path := range ex.Paths {

@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"cogdiff/internal/bytecode"
-	"cogdiff/internal/codecache"
 	"cogdiff/internal/concolic"
 	"cogdiff/internal/defects"
 	"cogdiff/internal/heap"
@@ -31,14 +30,8 @@ type Tester struct {
 	// hot loop touches only atomics. All nil (no-op) by default.
 	passMetrics *jit.PassMetrics
 
-	// cache shares compiled bodies across paths, units and workers; nil
-	// disables it (every execution recompiles). defectsFP is the seeded
-	// defect configuration rendered once for cache keys.
-	cache     *codecache.Cache
-	defectsFP string
-
-	// noReuse switches off the execution-environment pool (and, via a nil
-	// cache, compiled-code sharing): every execution boots fresh state.
+	// noReuse switches off the execution-environment pool: every
+	// execution boots fresh state.
 	// The determinism suite uses it to pin that pooling cannot change a
 	// single report byte.
 	noReuse bool
@@ -53,12 +46,7 @@ type Tester struct {
 // NewTester builds a tester with the given native-method table and seeded
 // defect state.
 func NewTester(prims *primitives.Table, sw defects.Switches) *Tester {
-	return &Tester{
-		Prims:     prims,
-		Defects:   sw,
-		cache:     codecache.New(0),
-		defectsFP: fmt.Sprintf("%+v", sw),
-	}
+	return &Tester{Prims: prims, Defects: sw}
 }
 
 // SetMetrics attaches a telemetry registry, resolving the instrument
@@ -67,19 +55,11 @@ func NewTester(prims *primitives.Table, sw defects.Switches) *Tester {
 // workers. A nil registry leaves the tester un-instrumented.
 func (t *Tester) SetMetrics(reg *telemetry.Registry) {
 	t.passMetrics = jit.NewPassMetrics(reg, t.Defects)
-	t.cache.SetMetrics(reg)
 }
-
-// CodeCacheStats reports the compiled-code cache's cumulative hits and
-// misses (zero when caching is disabled).
-func (t *Tester) CodeCacheStats() (hits, misses int64) { return t.cache.Stats() }
 
 // SetNoReuse flips the tester to its reuse-free reference behaviour:
-// no pooled environments, no compiled-code cache.
-func (t *Tester) SetNoReuse() {
-	t.noReuse = true
-	t.cache = nil
-}
+// no pooled environments.
+func (t *Tester) SetNoReuse() { t.noReuse = true }
 
 // SetNoVerify disables the static IR verifier for every compilation this
 // tester performs.
@@ -109,10 +89,9 @@ func (t *Tester) interpreterReference(env *execEnv, target concolic.Target, ex *
 
 // UnitRun batches the paths of one unit (target × exploration): the
 // interpreter reference for a path is computed once and reused for every
-// (compiler, ISA) pairing, and compiled bodies are shared through the
-// tester's code cache. Call Close when the unit is done to release the
-// held environment. A UnitRun is not safe for concurrent use; units are
-// the parallelism grain, so each worker drives its own.
+// (compiler, ISA) pairing. Call Close when the unit is done to release
+// the held environment. A UnitRun is not safe for concurrent use; units
+// are the parallelism grain, so each worker drives its own.
 type UnitRun struct {
 	t      *Tester
 	target concolic.Target
@@ -176,7 +155,7 @@ func (u *UnitRun) reference(path *concolic.PathResult) (interp.Exit, *interp.Fra
 
 // TestPath runs one concolic path against one compiler on one ISA within
 // a unit batch (Fig. 1 steps 2-4), reusing the per-path interpreter
-// reference and the shared compiled body.
+// reference.
 func (u *UnitRun) TestPath(path *concolic.PathResult, kind CompilerKind, isa machine.ISA) PathVerdict {
 	t, target := u.t, u.target
 	v := PathVerdict{Compiler: kind, ISA: isa}
@@ -338,7 +317,7 @@ func (t *Tester) runCompiledBytecode(target concolic.Target, om *heap.ObjectMemo
 	for i, v := range frame.Stack {
 		inputStack[i] = v.W
 	}
-	cm, err := t.compileBytecode(om, modeInstruction, variantOf(kind), isa, passLimit, target.Method, inputStack, nil)
+	cm, err := t.compileBytecode(om, false, variantOf(kind), isa, passLimit, target.Method, inputStack, nil)
 	if err != nil {
 		return nil, err
 	}

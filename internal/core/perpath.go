@@ -13,16 +13,23 @@ import (
 // MeasurePerPathAllocs reports the average Go allocations per path test
 // of a representative explored unit (OpPrimAdd: float and integer paths,
 // differing and agreeing verdicts). With noReuse false it measures the
-// steady state of one UnitRun — pooled environments, warm compiled-code
-// cache, shared interpreter reference. With noReuse true it measures the
-// pre-overhaul architecture: every call boots fresh heaps and compiles
-// from scratch. bench-export records both and their ratio; the
-// perf-smoke gate holds the ratio to the overhaul's acceptance bar.
+// steady state of one UnitRun — pooled environments and a shared
+// interpreter reference. With noReuse true it measures the reuse-free
+// reference: every call boots fresh heaps and recomputes the reference.
+// bench-export records both as a trajectory.
 //
 // This is a measurement entry point, not a test helper: it lives in the
 // package proper so the CLI can re-measure on the machine at hand
 // instead of trusting numbers committed from another one.
 func MeasurePerPathAllocs(noReuse bool) float64 {
+	return measurePerPathAllocs(noReuse, noReuse)
+}
+
+// measurePerPathAllocs measures one reuse configuration: noReuse boots a
+// fresh environment per execution, and oneShot goes through the one-shot
+// Tester.TestPath wrapper, which recomputes the interpreter reference on
+// every call instead of sharing it across the path's ISAs.
+func measurePerPathAllocs(noReuse, oneShot bool) float64 {
 	prims := primitives.NewTable()
 	explorer := concolic.NewExplorer(prims, concolic.DefaultOptions())
 	target := concolic.BytecodeTarget(bytecode.OpPrimAdd)
@@ -34,31 +41,18 @@ func MeasurePerPathAllocs(noReuse bool) float64 {
 	isas := []machine.ISA{machine.ISAAmd64Like, machine.ISAArm32Like}
 	run := tester.BeginUnit(target, ex)
 	defer run.Close()
-	for _, p := range ex.Paths { // warm pools, cache, and reference
-		for _, isa := range isas {
-			run.TestPath(p, SimpleBytecodeCompiler, isa)
-		}
-	}
-	n := len(ex.Paths) * len(isas)
-	var per float64
-	if noReuse {
-		// The one-shot wrapper recomputes the reference and compiles on
-		// every call — the pre-overhaul per-path cost.
-		per = testing.AllocsPerRun(20, func() {
-			for _, p := range ex.Paths {
-				for _, isa := range isas {
+	testAll := func() {
+		for _, p := range ex.Paths {
+			for _, isa := range isas {
+				if oneShot {
 					tester.TestPath(target, ex, p, SimpleBytecodeCompiler, isa)
-				}
-			}
-		})
-	} else {
-		per = testing.AllocsPerRun(20, func() {
-			for _, p := range ex.Paths {
-				for _, isa := range isas {
+				} else {
 					run.TestPath(p, SimpleBytecodeCompiler, isa)
 				}
 			}
-		})
+		}
 	}
-	return per / float64(n)
+	testAll() // warm the pools and the reference
+	per := testing.AllocsPerRun(20, testAll)
+	return per / float64(len(ex.Paths)*len(isas))
 }

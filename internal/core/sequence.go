@@ -334,14 +334,11 @@ func (t *Tester) compiledSequenceIn(env *execEnv, method *bytecode.Method, in Se
 	if err != nil {
 		return nil, err
 	}
-	// Whole-method compilation takes no input stack, so the cache key
-	// omits it: the compiled body depends only on the method content and
-	// the heap watermark (which the frame build above just determined).
 	var onIR func(ir.Opc)
 	if h != nil && h.EmitIR != nil {
 		onIR = h.EmitIR
 	}
-	cm, err := t.compileBytecode(om, modeMethod, variantOf(kind), isa, passLimit, method, nil, onIR)
+	cm, err := t.compileBytecode(om, true, variantOf(kind), isa, passLimit, method, nil, onIR)
 	if err != nil {
 		return nil, err
 	}

@@ -88,7 +88,7 @@ func (r *VerifySweepResult) Render() string {
 
 // VerifyIR runs the compile-only verification sweep over the campaign's
 // instruction catalog: it concolically explores every instruction
-// (sharing the exploration cache with ordinary campaigns), then compiles
+// exactly as a campaign does, then compiles
 // every (path, compiler, ISA) unit with the static verifier on and
 // discards the code without executing it. The result is the proof
 // obligation behind `cogdiff verify-ir`: a pristine catalog reports zero
@@ -106,34 +106,12 @@ func (c *Campaign) VerifyIR(ctx context.Context) (*VerifySweepResult, error) {
 	tester.SetMetrics(reg)
 	c.panicsContained = reg.Counter(telemetry.MetricPanicsContained)
 
-	// Step 1: explore every instruction, sharing cache entries with
-	// RunContext (same keys, same options).
+	// Step 1: explore every instruction, exactly as RunContext does.
 	bcTargets := c.BytecodeTargets()
 	nmTargets := c.PrimitiveTargets()
 	allTargets := append(append([]concolic.Target{}, bcTargets...), nmTargets...)
-	explorations := make([]*concolic.Exploration, len(allTargets))
-	exKeys := make([]string, len(allTargets))
-	for i, t := range allTargets {
-		exKeys[i] = c.Config.Cache.ExplorationKey(t, c.exploreOptions())
-	}
-	if err := RunUnitsCtx(ctx, workers, len(allTargets), func(i int) {
-		if ex, ok := c.Config.Cache.LoadExploration(exKeys[i], allTargets[i]); ok {
-			explorations[i] = ex
-			return
-		}
-		contained := false
-		defer func() {
-			if p := recover(); p != nil {
-				c.panicsContained.Inc()
-				explorations[i] = &concolic.Exploration{Target: allTargets[i]}
-				contained = true
-			}
-			if !contained {
-				c.Config.Cache.StoreExploration(exKeys[i], explorations[i])
-			}
-		}()
-		explorations[i] = explorer.Explore(allTargets[i])
-	}); err != nil {
+	explorations, err := c.exploreAll(ctx, workers, explorer, allTargets)
+	if err != nil {
 		return nil, err
 	}
 	exByTarget := make(map[string]*concolic.Exploration, len(allTargets))
@@ -253,7 +231,7 @@ func (c *Campaign) safeVerifyCompile(t *Tester, target concolic.Target, ex *conc
 	for i, v := range frame.Stack {
 		stack[i] = v.W
 	}
-	_, cerr := t.compileBytecode(env.om, modeInstruction, variantOf(kind), isa, -1, target.Method, stack, nil)
+	_, cerr := t.compileBytecode(env.om, false, variantOf(kind), isa, -1, target.Method, stack, nil)
 	return cerr
 }
 

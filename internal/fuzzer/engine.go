@@ -71,8 +71,8 @@ type Options struct {
 	// inside the containment boundary. Fault-injection tests use it to
 	// raise genuine heap panics in worker goroutines.
 	faultInject func(s *Seq)
-	// noReuse disables pooled execution environments and the compiled-code
-	// cache: every sequence execution boots and compiles from scratch.
+	// noReuse disables pooled execution environments: every sequence
+	// execution boots from scratch.
 	// The determinism suite diffs reports against this reference mode.
 	noReuse bool
 }
@@ -126,9 +126,6 @@ type Result struct {
 	// Matched lists the seeded-catalog cause IDs rediscovered through
 	// sequences, in catalog order.
 	Matched []string
-	// CodeCache reports compiled-code cache activity (diagnostics only;
-	// results are byte-identical with the cache on or off).
-	CodeCache core.CodeCacheStats
 }
 
 type diffObs struct {
@@ -511,8 +508,6 @@ func RunContext(ctx context.Context, opts Options) (*Result, error) {
 		Differences:  e.diffs,
 		Corpus:       e.corpus,
 	}
-	hits, misses := e.tester.CodeCacheStats()
-	res.CodeCache = core.CodeCacheStats{Hits: hits, Misses: misses}
 	for _, c := range defects.Catalog() {
 		for _, d := range e.diffs {
 			if d.Instrument == c.Instrument && d.Family == c.Family {

@@ -305,36 +305,6 @@ func (om *ObjectMemory) ResetToSeal() {
 	om.classes = om.classes[:om.sealedClasses]
 }
 
-// HeapRange copies the raw heap words in [from, to) heap offsets (as
-// reported by HeapUsed). The compiled-code cache records the words a
-// compilation allocated this way, so a cache hit can replay them.
-func (om *ObjectMemory) HeapRange(from, to int) []Word {
-	out := make([]Word, to-from)
-	copy(out, om.heap.words[from:to])
-	return out
-}
-
-// ReplayHeapRange re-applies a recorded allocation range at heap offset
-// `from`, bumping the allocation pointer past it. The caller guarantees
-// the current HeapUsed equals from (the compiled-code cache keys on it),
-// so the replayed objects land at the addresses the cached code embeds.
-func (om *ObjectMemory) ReplayHeapRange(from int, words []Word) error {
-	if om.HeapUsed() != from {
-		return fmt.Errorf("heap: replay at offset %d but %d words are in use", from, om.HeapUsed())
-	}
-	if from+len(words) > om.heap.Size {
-		return fmt.Errorf("heap: replay of %d words overflows the heap", len(words))
-	}
-	base := int(om.next - om.heap.Base)
-	copy(om.heap.words[base:base+len(words)], words)
-	om.heap.touch(base)
-	if len(words) > 0 {
-		om.heap.touch(base + len(words) - 1)
-	}
-	om.next += Word(len(words))
-	return nil
-}
-
 // header reads and unpacks an object header.
 func (om *ObjectMemory) header(oop Word) (classIndex int, format Format, slots int, err error) {
 	h, err := om.Mem.Read(oop)

@@ -43,8 +43,8 @@ func sameBootState(t *testing.T, a, b *ObjectMemory) {
 	if a.ClassCount() != b.ClassCount() {
 		t.Fatalf("ClassCount: %d vs %d", a.ClassCount(), b.ClassCount())
 	}
-	aw := a.HeapRange(0, a.HeapUsed())
-	bw := b.HeapRange(0, b.HeapUsed())
+	aw := a.heap.words[:a.HeapUsed()]
+	bw := b.heap.words[:b.HeapUsed()]
 	for i := range aw {
 		if aw[i] != bw[i] {
 			t.Fatalf("heap word %d: %#x vs %#x", i, aw[i], bw[i])
@@ -114,41 +114,4 @@ func TestAcquireBootedMatchesFreshBoot(t *testing.T) {
 	got := AcquireBooted()
 	defer ReleaseBooted(got)
 	sameBootState(t, got, NewBootedObjectMemory())
-}
-
-func TestReplayHeapRangeValidatesWatermark(t *testing.T) {
-	om := NewBootedObjectMemory()
-	om.Seal()
-	start := om.HeapUsed()
-	if _, err := om.NewFloat(2.5); err != nil {
-		t.Fatal(err)
-	}
-	delta := om.HeapRange(start, om.HeapUsed())
-
-	om.ResetToSeal()
-	if err := om.ReplayHeapRange(start+1, delta); err == nil {
-		t.Fatal("replay at wrong watermark must fail")
-	}
-	if err := om.ReplayHeapRange(start, delta); err != nil {
-		t.Fatalf("replay at correct watermark: %v", err)
-	}
-	f, err := om.NewFloat(1.0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_ = f
-
-	// The replayed span must be byte-identical to the original effect.
-	om2 := NewBootedObjectMemory()
-	w, err := om2.NewFloat(2.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	v, err := om.FloatValueOf(w)
-	if err != nil {
-		t.Fatalf("replayed float not readable at original oop: %v", err)
-	}
-	if v != 2.5 {
-		t.Fatalf("replayed float reads %v, want 2.5", v)
-	}
 }

@@ -91,12 +91,14 @@ func (sv *stageVerifier) check(stage string, fn *ir.Fn) error {
 	}
 	opts := irverify.Options{RequireDeopt: bk.RequireDeopt, DeoptBrkID: BrkMetaDeopt}
 	an := opts.Analyze(fn)
+	bk.Metrics.analyzed()
 	var vs []irverify.Violation
 	if sv.prevFn != nil {
 		if sv.prevAn == nil {
 			// The input rode in on a cache hit; its analysis must be
 			// rebuilt once for the pass-effect comparison.
 			sv.prevAn = opts.Analyze(sv.prevFn)
+			bk.Metrics.analyzed()
 		}
 		vs = irverify.VerifyPassEffectOn(sv.prevAn, an)
 	}

@@ -17,6 +17,7 @@ type PassMetrics struct {
 	passes           *telemetry.Counter
 	perPass          map[string]*telemetry.Histogram
 	verifyRuns       *telemetry.Counter
+	verifyAnalyses   *telemetry.Counter
 	verifyViolations *telemetry.Counter
 	verifySeconds    *telemetry.Histogram
 }
@@ -34,6 +35,7 @@ func NewPassMetrics(reg *telemetry.Registry, sw defects.Switches) *PassMetrics {
 		passes:           reg.Counter(telemetry.MetricPassesRun),
 		perPass:          make(map[string]*telemetry.Histogram),
 		verifyRuns:       reg.Counter(telemetry.MetricIRVerifyRuns),
+		verifyAnalyses:   reg.Counter(telemetry.MetricIRVerifyAnalyses),
 		verifyViolations: reg.Counter(telemetry.MetricIRVerifyViolations),
 		verifySeconds:    reg.Histogram(telemetry.MetricIRVerifySeconds, telemetry.DurationBuckets),
 	}
@@ -65,6 +67,14 @@ func (m *PassMetrics) observeVerify(d time.Duration, violations int) {
 	m.verifyRuns.Inc()
 	m.verifyViolations.Add(int64(violations))
 	m.verifySeconds.ObserveDuration(d)
+}
+
+// analyzed counts one full verifier analysis of a function. No-op on nil.
+func (m *PassMetrics) analyzed() {
+	if m == nil {
+		return
+	}
+	m.verifyAnalyses.Inc()
 }
 
 // observePass records one pass execution. No-op on nil.

@@ -102,13 +102,6 @@ func (c *Client) WaitHealthy(ctx context.Context, timeout time.Duration) error {
 	return fmt.Errorf("server at %s not healthy after %s: %w", c.base, timeout, last)
 }
 
-// Version fetches GET /v1/version.
-func (c *Client) Version(ctx context.Context) (server.VersionInfo, error) {
-	var v server.VersionInfo
-	err := c.do(ctx, http.MethodGet, "/v1/version", nil, &v)
-	return v, err
-}
-
 // Submit posts a job spec; the returned status carries the job ID.
 func (c *Client) Submit(ctx context.Context, spec server.JobSpec) (server.JobStatus, error) {
 	body, err := json.Marshal(spec)

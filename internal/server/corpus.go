@@ -19,8 +19,8 @@ import (
 // HTTP clients (GET/PUT /v1/corpus) feed and drain concurrently.
 //
 // With a directory configured, every entry persists as its own file,
-// seq-<sha256-of-key>.json, written with excache's temp+rename
-// discipline — a crashed or cancelled server leaves only complete
+// seq-<sha256-of-key>.json, written with a temp+rename discipline — a
+// crashed or cancelled server leaves only complete
 // entries, and concurrent adds of the same entry are idempotent. The
 // in-memory index is authoritative between loads; the directory is the
 // durable mirror.

@@ -21,9 +21,6 @@ const (
 	// EventProgress: a fuzz batch merged; Done/Total count executions,
 	// Corpus the corpus size, Differences the cause count so far.
 	EventProgress = "progress"
-	// EventCacheStats: the job's exploration-cache traffic, emitted once
-	// after a campaign completes.
-	EventCacheStats = "cache-stats"
 	// EventDone: terminal event; State holds the final job state. The
 	// stream closes after it.
 	EventDone = "done"
@@ -46,12 +43,6 @@ type Event struct {
 	Differences int    `json:"differences,omitempty"`
 	Corpus      int    `json:"corpus,omitempty"`
 
-	Hits    int64 `json:"hits,omitempty"`
-	Misses  int64 `json:"misses,omitempty"`
-	Corrupt int64 `json:"corrupt,omitempty"`
-	Writes  int64 `json:"writes,omitempty"`
-	Evicted int64 `json:"evicted,omitempty"`
-
 	State string `json:"state,omitempty"`
 	Error string `json:"error,omitempty"`
 }
@@ -61,10 +52,15 @@ type Event struct {
 // missing or reordering events.
 func (j *job) publish(ev Event) {
 	j.mu.Lock()
-	ev.ID = len(j.events) + 1
-	j.events = append(j.events, ev)
+	j.appendLocked(ev)
 	j.mu.Unlock()
 	j.cond.Broadcast()
+}
+
+// appendLocked appends an event to the log; j.mu must be held.
+func (j *job) appendLocked(ev Event) {
+	ev.ID = len(j.events) + 1
+	j.events = append(j.events, ev)
 }
 
 // next blocks until the event log grows past from (returning the new

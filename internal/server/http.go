@@ -6,7 +6,6 @@ import (
 	"io"
 	"net/http"
 
-	"cogdiff/internal/excache"
 	"cogdiff/internal/fuzzer"
 	"cogdiff/internal/telemetry"
 )
@@ -33,23 +32,10 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 	enc.Encode(v)
 }
 
-// VersionInfo is GET /v1/version: the semantics-version stamps that key
-// the exploration cache. Two servers with equal stamps produce
-// byte-identical reports for equal job specs.
-type VersionInfo struct {
-	Schema     string `json:"schema"`
-	Interp     string `json:"interp"`
-	Primitives string `json:"primitives"`
-	Solver     string `json:"solver"`
-	JIT        string `json:"jit"`
-	Machine    string `json:"machine"`
-}
-
 // Handler returns the server's HTTP API:
 //
 //	GET    /healthz              liveness probe ("ok")
 //	GET    /metrics              Prometheus text exposition, live mid-run
-//	GET    /v1/version           semantics-version stamps
 //	POST   /v1/jobs              submit a JobSpec, returns JobStatus (202)
 //	GET    /v1/jobs              all jobs, submission order
 //	GET    /v1/jobs/{id}         one job's JobStatus
@@ -61,7 +47,6 @@ func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /healthz", s.route("healthz", s.handleHealthz))
 	mux.HandleFunc("GET /metrics", s.route("metrics", s.handleMetrics))
-	mux.HandleFunc("GET /v1/version", s.route("version", s.handleVersion))
 	mux.HandleFunc("POST /v1/jobs", s.route("jobs-submit", s.handleSubmit))
 	mux.HandleFunc("GET /v1/jobs", s.route("jobs-list", s.handleJobs))
 	mux.HandleFunc("GET /v1/jobs/{id}", s.route("job-get", s.handleJob))
@@ -92,18 +77,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	s.reg.Snapshot().WritePrometheus(w)
 }
 
-func (s *Server) handleVersion(w http.ResponseWriter, r *http.Request) {
-	v := excache.DefaultVersions()
-	writeJSON(w, http.StatusOK, VersionInfo{
-		Schema:     v.Schema,
-		Interp:     v.Interp,
-		Primitives: v.Primitives,
-		Solver:     v.Solver,
-		JIT:        v.JIT,
-		Machine:    v.Machine,
-	})
-}
-
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	body, err := io.ReadAll(io.LimitReader(r.Body, maxBodyBytes))
 	if err != nil {
@@ -115,7 +88,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, fmt.Sprintf("bad job spec: %v", err))
 		return
 	}
-	if err := spec.Validate(&s.cfg); err != nil {
+	if err := spec.Validate(); err != nil {
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"cogdiff"
-	"cogdiff/internal/excache"
 	"cogdiff/internal/fuzzer"
 	"cogdiff/internal/telemetry"
 )
@@ -52,7 +51,7 @@ type JobSpec struct {
 
 // CampaignSpec configures a campaign job. The report is the stable
 // surface (`cogdiff campaign -stable`): byte-identical to the serial
-// CLI run with the same options, at any worker count, any cache state.
+// CLI run with the same options, at any worker count.
 type CampaignSpec struct {
 	Pristine           bool `json:"pristine,omitempty"`
 	ConstFoldSignError bool `json:"defectConstfold,omitempty"`
@@ -66,9 +65,6 @@ type CampaignSpec struct {
 	MaxIterations int    `json:"maxIterations,omitempty"`
 	// Workers shards the campaign (0 = the server's default).
 	Workers int `json:"workers,omitempty"`
-	// Cache overrides the server's cache mode for this job: off, ro or
-	// rw (empty = the server's configured mode).
-	Cache string `json:"cache,omitempty"`
 }
 
 // DifftestSpec configures a single-instruction differential test job.
@@ -97,7 +93,7 @@ type FuzzSpec struct {
 }
 
 // Validate rejects malformed specs before they reach the queue.
-func (spec *JobSpec) Validate(srv *Config) error {
+func (spec *JobSpec) Validate() error {
 	switch spec.Type {
 	case JobCampaign:
 		c := spec.Campaign
@@ -112,13 +108,6 @@ func (spec *JobSpec) Validate(srv *Config) error {
 		}
 		if _, err := cogdiff.ParseCompilerSpec(c.Compilers); err != nil {
 			return fmt.Errorf("campaign.compilers: %w", err)
-		}
-		mode, err := excache.ParseMode(c.Cache)
-		if err != nil {
-			return fmt.Errorf("campaign.cache: %w", err)
-		}
-		if c.Cache != "" && mode != excache.ModeOff && srv.CacheDir == "" {
-			return fmt.Errorf("campaign.cache %s: server has no -cache-dir", mode)
 		}
 	case JobDifftest:
 		d := spec.Difftest
@@ -147,15 +136,6 @@ func (spec *JobSpec) Validate(srv *Config) error {
 	return nil
 }
 
-// CacheStats mirrors the public cache-traffic counters in JSON.
-type CacheStats struct {
-	Hits    int64 `json:"hits"`
-	Misses  int64 `json:"misses"`
-	Corrupt int64 `json:"corrupt"`
-	Writes  int64 `json:"writes"`
-	Evicted int64 `json:"evicted"`
-}
-
 // JobStatus is the wire form of one job (GET /v1/jobs/{id}).
 type JobStatus struct {
 	ID    string  `json:"id"`
@@ -170,9 +150,8 @@ type JobStatus struct {
 	// Report is the engine's rendered report, present when done. For
 	// campaign jobs it is the stable surface, byte-identical to the
 	// serial CLI run with the same options.
-	Report      string      `json:"report,omitempty"`
-	Differences int         `json:"differences,omitempty"`
-	Cache       *CacheStats `json:"cache,omitempty"`
+	Report      string `json:"report,omitempty"`
+	Differences int    `json:"differences,omitempty"`
 	// Events counts the job's progress events so far.
 	Events int `json:"events"`
 }
@@ -208,10 +187,6 @@ func (j *job) snapshot() JobStatus {
 	defer j.mu.Unlock()
 	st := j.status
 	st.Events = len(j.events)
-	if j.status.Cache != nil {
-		c := *j.status.Cache
-		st.Cache = &c
-	}
 	return st
 }
 
@@ -237,7 +212,9 @@ func (s *Server) requestCancel(j *job) bool {
 }
 
 // finish moves a job to a terminal state and closes its event stream
-// with the final done event.
+// with the final done event. Both happen in one critical section: a
+// follower that finds the job terminal stops reading, so it must never
+// see the state before the done event is in the log.
 func (s *Server) finish(j *job, state State, errMsg string) {
 	j.mu.Lock()
 	if j.status.State.Terminal() {
@@ -249,11 +226,11 @@ func (s *Server) finish(j *job, state State, errMsg string) {
 	j.status.Finished = time.Now().UnixMilli() //cogdiff:allow-nondeterminism job timestamps are operational metadata, not report content
 	started := j.status.Started
 	jtype := j.status.Type
-	diffs := j.status.Differences
+	j.appendLocked(Event{Type: EventDone, State: string(state), Error: errMsg,
+		Differences: j.status.Differences})
 	j.mu.Unlock()
+	j.cond.Broadcast()
 
-	j.publish(Event{Type: EventDone, State: string(state), Error: errMsg,
-		Differences: diffs})
 	s.reg.LabeledCounter(telemetry.MetricServerJobsCompleted,
 		"state", string(state), "type", string(jtype)).Inc()
 	if started > 0 {
@@ -282,11 +259,10 @@ func (s *Server) runJob(j *job) {
 
 	var report string
 	var differences int
-	var cache *CacheStats
 	var err error
 	switch j.spec.Type {
 	case JobCampaign:
-		report, differences, cache, err = s.runCampaign(ctx, j)
+		report, differences, err = s.runCampaign(ctx, j)
 	case JobDifftest:
 		report, differences, err = s.runDifftest(ctx, j)
 	case JobFuzz:
@@ -298,7 +274,6 @@ func (s *Server) runJob(j *job) {
 	j.mu.Lock()
 	j.status.Report = report
 	j.status.Differences = differences
-	j.status.Cache = cache
 	j.mu.Unlock()
 
 	switch {
@@ -311,20 +286,7 @@ func (s *Server) runJob(j *job) {
 	}
 }
 
-// cacheModeFor resolves a job's effective cache dir+mode from the
-// server configuration and the job's override.
-func (s *Server) cacheModeFor(override string) (dir, mode string) {
-	dir, mode = s.cfg.CacheDir, s.cfg.CacheMode
-	if override != "" {
-		mode = override
-	}
-	if dir == "" || mode == "off" {
-		return "", "off"
-	}
-	return dir, mode
-}
-
-func (s *Server) runCampaign(ctx context.Context, j *job) (string, int, *CacheStats, error) {
+func (s *Server) runCampaign(ctx context.Context, j *job) (string, int, error) {
 	spec := j.spec.Campaign
 	if spec == nil {
 		spec = &CampaignSpec{}
@@ -335,9 +297,8 @@ func (s *Server) runCampaign(ctx context.Context, j *job) (string, int, *CacheSt
 	}
 	compilers, err := cogdiff.ParseCompilerSpec(spec.Compilers)
 	if err != nil {
-		return "", 0, nil, err
+		return "", 0, err
 	}
-	dir, mode := s.cacheModeFor(spec.Cache)
 	opts := cogdiff.CampaignOptions{
 		Context:               ctx,
 		Pristine:              spec.Pristine,
@@ -347,8 +308,6 @@ func (s *Server) runCampaign(ctx context.Context, j *job) (string, int, *CacheSt
 		MaxIterations:         spec.MaxIterations,
 		Workers:               workers,
 		Metrics:               s.reg,
-		CacheDir:              dir,
-		CacheMode:             mode,
 		OnUnitDone: func(ev cogdiff.UnitProgress) {
 			if gate := s.testUnitGate(); gate != nil {
 				gate()
@@ -364,13 +323,9 @@ func (s *Server) runCampaign(ctx context.Context, j *job) (string, int, *CacheSt
 	}
 	sum, err := cogdiff.RunCampaign(opts)
 	if err != nil {
-		return "", 0, nil, err
+		return "", 0, err
 	}
-	cache := &CacheStats{Hits: sum.Cache.Hits, Misses: sum.Cache.Misses,
-		Corrupt: sum.Cache.Corrupt, Writes: sum.Cache.Writes, Evicted: sum.Cache.Evicted}
-	j.publish(Event{Type: EventCacheStats, Hits: cache.Hits, Misses: cache.Misses,
-		Corrupt: cache.Corrupt, Writes: cache.Writes, Evicted: cache.Evicted})
-	return sum.StableReport(), sum.TotalDifferences, cache, nil
+	return sum.StableReport(), sum.TotalDifferences, nil
 }
 
 func (s *Server) runDifftest(ctx context.Context, j *job) (string, int, error) {
@@ -378,14 +333,11 @@ func (s *Server) runDifftest(ctx context.Context, j *job) (string, int, error) {
 		return "", 0, err
 	}
 	spec := j.spec.Difftest
-	dir, mode := s.cacheModeFor("")
 	res, err := cogdiff.TestInstructionWith(spec.Instruction, spec.Compiler, cogdiff.TestConfig{
 		Pristine:              spec.Pristine,
 		ConstFoldSignError:    spec.ConstFoldSignError,
 		MetaJITGuardSignError: spec.MetaJITGuardSignError,
 		Metrics:               s.reg,
-		CacheDir:              dir,
-		CacheMode:             mode,
 	})
 	if err != nil {
 		return "", 0, err

@@ -12,24 +12,22 @@
 //     with the same options. Jobs are cancellable (DELETE /v1/jobs/{id})
 //     at any point: cancellation propagates as context cancellation into
 //     the engines, which abort at the next unit boundary without
-//     corrupting the cache or the corpus.
+//     corrupting the corpus.
 //
 //   - Streaming progress over SSE (events.go). GET /v1/jobs/{id}/events
 //     replays the job's event log and then follows it live:
-//     unit-completed, difference-found, cache-stats, progress (fuzz
-//     batches) and done. Events carry no wall-clock data, so the stream
+//     unit-completed, difference-found, progress (fuzz batches) and
+//     done. Events carry no wall-clock data, so the stream
 //     for a fixed configuration at workers=1 is deterministic.
 //
 //   - A shared corpus store (corpus.go). GET/PUT /v1/corpus speak the
 //     fuzzer's go-fuzz-format JSON corpus; entries dedup by content
-//     hash, persist one-file-per-entry with excache's temp+rename
-//     discipline, and feed fuzz jobs submitted with sharedCorpus, which
+//     hash, persist one-file-per-entry with temp+rename, and feed fuzz jobs submitted with sharedCorpus, which
 //     drain their coverage-increasing findings back into the store.
 //
 //   - Live observability (http.go). GET /metrics serves the telemetry
 //     Registry in the Prometheus text exposition format mid-run;
-//     /healthz and /v1/version (the semantics-version stamps) complete
-//     the operational surface.
+//     /healthz completes the operational surface.
 package server
 
 import (
@@ -37,7 +35,6 @@ import (
 	"fmt"
 	"sync"
 
-	"cogdiff/internal/excache"
 	"cogdiff/internal/telemetry"
 )
 
@@ -46,12 +43,6 @@ type Config struct {
 	// Workers is the per-job default worker count when a job spec does
 	// not name one (0 = GOMAXPROCS, 1 = serial).
 	Workers int
-	// CacheDir, when non-empty, is the exploration cache shared by every
-	// job; CacheMode selects off/ro/rw participation (empty = rw).
-	// Concurrent jobs share the directory safely: excache writes are
-	// atomic temp+rename and entries are pure functions of their keys.
-	CacheDir  string
-	CacheMode string
 	// CorpusDir, when non-empty, persists the shared corpus store there
 	// (one file per entry). An empty dir keeps the store in memory only.
 	CorpusDir string
@@ -90,21 +81,8 @@ type Server struct {
 	mQueued  *telemetry.Gauge
 }
 
-// New validates the configuration, opens the corpus store, probes the
-// cache configuration and starts the job-slot workers.
+// New opens the corpus store and starts the job-slot workers.
 func New(cfg Config) (*Server, error) {
-	mode, err := excache.ParseMode(cfg.CacheMode)
-	if err != nil {
-		return nil, err
-	}
-	if cfg.CacheDir == "" && cfg.CacheMode != "" && mode != excache.ModeOff {
-		return nil, fmt.Errorf("cache mode %s requires a cache directory", mode)
-	}
-	// Probe the cache directory once at startup so misconfiguration
-	// fails the serve verb, not the first submitted job.
-	if _, err := excache.Open(excache.Config{Dir: cfg.CacheDir, Mode: mode}); err != nil {
-		return nil, err
-	}
 	reg := cfg.Metrics
 	if reg == nil {
 		reg = telemetry.NewRegistry()

@@ -14,43 +14,33 @@ const (
 	MetricUnitsCompiled   = "cogdiff_units_compiled_total"
 	MetricUnitsTested     = "cogdiff_units_tested_total"
 	MetricVerdictsSkipped = "cogdiff_verdicts_skipped_total"
-	// MetricDifferences carries a family label; MetricCauses a stage
-	// label (front-end, pass:<name>, unreproducible). Both are bumped
-	// only in the campaign's serial merge pass, which walks verdicts in
+	// MetricDifferences carries a compiler label; MetricCauses family and
+	// stage labels (front-end, pass:<name>, unreproducible). A campaign
+	// bumps both only in its serial merge pass, which walks verdicts in
 	// canonical order — so their totals equal the report tables exactly
-	// at any worker count.
+	// at any worker count. A single-instruction difftest adds its
+	// differing verdicts to MetricDifferences.
 	MetricDifferences = "cogdiff_differences_total"
 	MetricCauses      = "cogdiff_causes_total"
 
 	// Crash containment.
 	MetricPanicsContained = "cogdiff_panics_contained_total"
 
-	// Exploration cache (internal/excache). Corrupt entries also count
-	// as misses, so hits+misses equals total lookups.
-	MetricCacheHits    = "cogdiff_excache_hits_total"
-	MetricCacheMisses  = "cogdiff_excache_misses_total"
-	MetricCacheCorrupt = "cogdiff_excache_corrupt_total"
-	MetricCacheWrites  = "cogdiff_excache_writes_total"
-	MetricCacheEvicted = "cogdiff_excache_evicted_total"
-
-	// In-process compiled-code cache (internal/codecache). Counts may be
-	// schedule-dependent at workers > 1 (racing double-misses); reports
-	// are not.
+	// No longer recorded (the compiled-code cache is gone); kept only because _perfbench/trace.go reads them.
 	MetricCodeCacheHits   = "cogdiff_codecache_hits_total"
 	MetricCodeCacheMisses = "cogdiff_codecache_misses_total"
-
-	// Unit-cache keying. A fingerprint error means the affected test units
-	// run uncached (correct but slow) — it must be visible, not silent.
-	MetricUnitCacheFingerprintErrors = "cogdiff_unitcache_fingerprint_errors_total"
 
 	// JIT pipeline. MetricPassSeconds carries a pass label.
 	MetricPassSeconds = "cogdiff_pass_seconds"
 	MetricPassesRun   = "cogdiff_passes_run_total"
 
 	// Static IR verification (internal/irverify). Runs count one per
-	// verified stage (front-end or pass prefix); violations count rule
-	// hits, which reject the unit without executing it.
+	// verified stage (front-end or pass prefix); analyses count the full
+	// analyses of the byte-code pipeline's stage verifier, which runs one
+	// only when its verified-clean cache cannot answer; violations
+	// count rule hits, which reject the unit without executing it.
 	MetricIRVerifyRuns       = "cogdiff_irverify_runs_total"
+	MetricIRVerifyAnalyses   = "cogdiff_irverify_analyses_total"
 	MetricIRVerifyViolations = "cogdiff_irverify_violations_total"
 	MetricIRVerifySeconds    = "cogdiff_irverify_seconds"
 
