@@ -77,10 +77,20 @@ fuzz:
 	$(GO) test -fuzz=FuzzSequenceDiff -fuzztime=30s ./internal/core/
 
 # Coverage-guided fuzzing smoke run: fixed seed, small budget, minimized
-# differences — deterministic, finishes well inside 30s.
+# differences — deterministic, finishes well inside 30s. The serial and
+# the parallel run must print byte-identical reports, so the sequence
+# pipeline (optimize once per compiler, lower per ISA) is checked end to
+# end.
 fuzz-smoke:
-	$(GO) run ./cmd/cogdiff fuzz -seed 2022 -budget 2000 -workers 0 \
-		-seed-corpus internal/core/testdata/fuzz/FuzzSequenceDiff
+	rm -rf fuzz-smoke.tmp
+	mkdir -p fuzz-smoke.tmp
+	$(GO) build -o fuzz-smoke.tmp/cogdiff ./cmd/cogdiff
+	fuzz-smoke.tmp/cogdiff fuzz -seed 2022 -budget 2000 -workers 1 \
+		-seed-corpus internal/core/testdata/fuzz/FuzzSequenceDiff > fuzz-smoke.tmp/w1.txt
+	fuzz-smoke.tmp/cogdiff fuzz -seed 2022 -budget 2000 -workers 0 \
+		-seed-corpus internal/core/testdata/fuzz/FuzzSequenceDiff > fuzz-smoke.tmp/w0.txt
+	cmp fuzz-smoke.tmp/w1.txt fuzz-smoke.tmp/w0.txt
+	rm -rf fuzz-smoke.tmp
 
 # Pass-level blame smoke test: a campaign with the pass-targeted
 # constant-folding defect must name the guilty pass in its cause table.

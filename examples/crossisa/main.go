@@ -1,8 +1,8 @@
 // Crossisa demonstrates the cross-ISA testing dimension (§5.1): the same
-// byte-code instruction is compiled by the same front-end for the two
-// simulated target ISAs, producing genuinely different machine code —
-// different instruction sequences, different encodings — that must show
-// identical observable behaviour.
+// byte-code instruction is compiled once by one front-end and its
+// optimized IR is lowered for the two simulated target ISAs, producing
+// genuinely different machine code — different instruction sequences,
+// different encodings — that must show identical observable behaviour.
 //
 //	go run ./examples/crossisa
 package main
@@ -23,9 +23,12 @@ func main() {
 	method := &bytecode.Method{Name: "primAdd", Code: []byte{byte(bytecode.OpPrimAdd)}}
 	input := []heap.Word{heap.SmallIntFor(1000000), heap.SmallIntFor(2345)}
 
+	st, err := jit.NewCogit(jit.StackToRegisterCogit, om, defects.ProductionVM()).CompileBytecode(method, input)
+	if err != nil {
+		log.Fatal(err)
+	}
 	for _, isa := range []machine.ISA{machine.ISAAmd64Like, machine.ISAArm32Like} {
-		cogit := jit.NewCogit(jit.StackToRegisterCogit, isa, om, defects.ProductionVM())
-		cm, err := cogit.CompileBytecode(method, input)
+		cm, err := st.Lower(st.Final(), isa)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -73,11 +73,13 @@ func main() {
 	kinds := []core.CompilerKind{core.SimpleBytecodeCompiler, core.StackToRegisterCompiler, core.RegisterAllocatingCompiler}
 	for _, cse := range cases {
 		for _, kind := range kinds {
-			for _, isa := range []machine.ISA{machine.ISAAmd64Like, machine.ISAArm32Like} {
-				verdict, err := tester.TestSequence(cse.m, cse.in, kind, isa)
-				if err != nil {
-					log.Fatal(err)
-				}
+			isas := []machine.ISA{machine.ISAAmd64Like, machine.ISAArm32Like}
+			verdicts, err := tester.TestSequenceISAs(cse.m, cse.in, kind, isas)
+			if err != nil {
+				log.Fatal(err)
+			}
+			for i, isa := range isas {
+				verdict := verdicts[i]
 				status := "AGREE "
 				if verdict.Differs {
 					status = "DIFFER"

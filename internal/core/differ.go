@@ -89,9 +89,10 @@ func (t *Tester) interpreterReference(env *execEnv, target concolic.Target, ex *
 
 // UnitRun batches the paths of one unit (target × exploration): the
 // interpreter reference for a path is computed once and reused for every
-// (compiler, ISA) pairing. Call Close when the unit is done to release
-// the held environment. A UnitRun is not safe for concurrent use; units
-// are the parallelism grain, so each worker drives its own.
+// (compiler, ISA) pairing, and each (path, compiler) is optimized once
+// and lowered per ISA. Call Close when the unit is done to release the
+// held environment. A UnitRun is not safe for concurrent use; units are
+// the parallelism grain, so each worker drives its own.
 type UnitRun struct {
 	t      *Tester
 	target concolic.Target
@@ -107,6 +108,14 @@ type UnitRun struct {
 	refFrame  *interp.Frame
 	refInputs map[heap.Word]int
 	refErr    error
+
+	// Retained optimization of the (path, compiler) most recently
+	// compiled. Every ISA and every blame prefix of that pair lowers
+	// these stages instead of recompiling.
+	stPath *concolic.PathResult
+	stKind CompilerKind
+	st     *jit.Stages
+	stErr  error
 }
 
 // BeginUnit starts a batched run over one unit's paths.
@@ -121,6 +130,7 @@ func (u *UnitRun) Close() {
 		u.refEnv = nil
 	}
 	u.refPath = nil
+	u.stPath, u.st, u.stErr = nil, nil, nil
 }
 
 // reference returns the interpreter reference for path, computing it on
@@ -195,7 +205,7 @@ func (u *UnitRun) TestPath(path *concolic.PathResult, kind CompilerKind, isa mac
 		return v
 	}
 
-	obs, err := t.runCompiled(target, u.ex, path, kind, isa, -1)
+	obs, err := u.runCompiled(path, kind, isa, finalStage)
 	if err != nil {
 		var verr *irverify.Error
 		if errors.As(err, &verr) {
@@ -223,7 +233,7 @@ func (u *UnitRun) TestPath(path *concolic.PathResult, kind CompilerKind, isa mac
 	v.Differs = differs
 	v.Detail = detail
 	if differs {
-		v.Cause = t.blamePath(target, u.ex, path, kind, isa, interpExit, interpFrame, interpOM, interpInputs)
+		v.Cause = u.blamePath(path, kind, isa, interpExit, interpFrame, interpOM, interpInputs)
 	}
 	return v
 }
@@ -239,43 +249,70 @@ func (t *Tester) TestPath(target concolic.Target, ex *concolic.Exploration, path
 }
 
 // blamePath attributes a differing path verdict to a compilation stage by
-// re-running the compiled execution with the pass pipeline truncated at
-// every prefix: if the bare front-end output (no passes) already differs
-// from the interpreter reference the front-end is blamed, otherwise the
-// first pass whose inclusion flips the verdict is. Native methods have no
-// pipeline, so every native difference is a front-end difference.
-func (t *Tester) blamePath(target concolic.Target, ex *concolic.Exploration, path *concolic.PathResult, kind CompilerKind, isa machine.ISA, iExit interp.Exit, iFrame *interp.Frame, iOM *heap.ObjectMemory, iInputs map[heap.Word]int) string {
+// executing every stage the (path, compiler) optimization retained: if
+// the bare front-end output already differs from the interpreter
+// reference the front-end is blamed, otherwise the first pass whose
+// output flips the verdict is. Native methods have no pipeline, so every
+// native difference is a front-end difference.
+func (u *UnitRun) blamePath(path *concolic.PathResult, kind CompilerKind, isa machine.ISA, iExit interp.Exit, iFrame *interp.Frame, iOM *heap.ObjectMemory, iInputs map[heap.Word]int) string {
 	if kind == NativeMethodCompilerKind {
 		return "front-end"
 	}
-	passes := jit.PipelineFor(variantOf(kind), t.Defects)
-	for k := 0; k <= len(passes); k++ {
-		obs, err := t.runCompiled(target, ex, path, kind, isa, k)
+	// The differing run just compiled this pair, so the slot holds its
+	// stages.
+	st := u.st
+	for k := 0; k <= st.Final(); k++ {
+		obs, err := u.runCompiled(path, kind, isa, k)
 		if err != nil {
 			return "front-end"
 		}
-		if differs, _ := t.compare(target, iExit, iFrame, iOM, iInputs, obs); differs {
-			if k == 0 {
-				return "front-end"
-			}
-			return "pass:" + passes[k-1].Name
+		if differs, _ := u.t.compare(u.target, iExit, iFrame, iOM, iInputs, obs); differs {
+			return st.StageName(k)
 		}
 	}
-	// Every prefix agreed yet the full pipeline differed: the re-run did
+	// Every stage agreed yet the optimized run differed: the re-run did
 	// not reproduce, which the blame string surfaces rather than hides.
 	return "unreproducible"
 }
 
-// runCompiled compiles the instruction for a path and executes it on the
-// simulated machine, extracting the observable behaviour. The execution
+// finalStage selects the fully optimized stage in runCompiled.
+const finalStage = -1
+
+// stages returns the (path, kind) optimization for an execution on om,
+// whose input frame is already built. The first request compiles on om,
+// so the front-end's literal boxes land on top of the frame; every later
+// request for the pair replays the recorded boxes into om instead, which
+// fails unless om's frame left the heap at the recorded watermark.
+func (u *UnitRun) stages(path *concolic.PathResult, kind CompilerKind, om *heap.ObjectMemory, frame *interp.Frame) (*jit.Stages, error) {
+	if u.stPath == path && u.stKind == kind {
+		if u.stErr != nil {
+			return nil, u.stErr
+		}
+		if err := u.st.Replay(om); err != nil {
+			return nil, err
+		}
+		return u.st, nil
+	}
+	// A contained panic below leaves the slot empty, so the next request
+	// recompiles deterministically.
+	u.stPath = nil
+	st, err := u.t.optimizeUnit(om, u.target, kind, frame)
+	u.stPath, u.stKind, u.st, u.stErr = path, kind, st, err
+	return st, err
+}
+
+// runCompiled executes stage k of the path's optimization under kind
+// (finalStage for the fully optimized one), lowered for isa, on the
+// simulated machine and extracts the observable behaviour. The execution
 // runs on a pooled environment; the returned observation holds only
 // rendered values, so the environment is released before returning. A
 // contained panic abandons the environment instead.
-func (t *Tester) runCompiled(target concolic.Target, ex *concolic.Exploration, path *concolic.PathResult, kind CompilerKind, isa machine.ISA, passLimit int) (*CompiledObservation, error) {
+func (u *UnitRun) runCompiled(path *concolic.PathResult, kind CompilerKind, isa machine.ISA, k int) (*CompiledObservation, error) {
+	t := u.t
 	env := t.getEnv()
 	om, cpu := env.om, env.cpu
-	b := concolic.NewFrameBuilder(om, ex.Universe, path.Model)
-	frame, err := b.BuildFrame(target)
+	b := concolic.NewFrameBuilder(om, u.ex.Universe, path.Model)
+	frame, err := b.BuildFrame(u.target)
 	if err != nil {
 		t.putEnv(env)
 		return nil, err
@@ -289,39 +326,30 @@ func (t *Tester) runCompiled(target concolic.Target, ex *concolic.Exploration, p
 		}
 	}
 
+	st, err := u.stages(path, kind, om, frame)
+	if err != nil {
+		t.putEnv(env)
+		return nil, err
+	}
+	if k == finalStage {
+		k = st.Final()
+	}
+	cm, err := st.Lower(k, isa)
+	if err != nil {
+		t.putEnv(env)
+		return nil, err
+	}
 	var obs *CompiledObservation
 	if kind == NativeMethodCompilerKind {
-		obs, err = t.runCompiledNative(target, om, cpu, frame, inputs, isa)
+		obs, err = t.runCompiledNative(cm, om, cpu, frame, inputs)
 	} else {
-		obs, err = t.runCompiledBytecode(target, om, cpu, frame, inputs, kind, isa, passLimit)
+		obs, err = t.runCompiledBytecode(u.target, cm, om, cpu, frame, inputs)
 	}
 	t.putEnv(env)
 	return obs, err
 }
 
-func variantOf(kind CompilerKind) jit.Variant {
-	switch kind {
-	case SimpleBytecodeCompiler:
-		return jit.SimpleStackBasedCogit
-	case RegisterAllocatingCompiler:
-		return jit.RegisterAllocatingCogit
-	case MetaJITCompiler:
-		return jit.MetaJITCogit
-	default:
-		return jit.StackToRegisterCogit
-	}
-}
-
-func (t *Tester) runCompiledBytecode(target concolic.Target, om *heap.ObjectMemory, cpu *machine.CPU, frame *interp.Frame, inputs map[heap.Word]int, kind CompilerKind, isa machine.ISA, passLimit int) (*CompiledObservation, error) {
-	inputStack := make([]heap.Word, frame.Size())
-	for i, v := range frame.Stack {
-		inputStack[i] = v.W
-	}
-	cm, err := t.compileBytecode(om, false, variantOf(kind), isa, passLimit, target.Method, inputStack, nil)
-	if err != nil {
-		return nil, err
-	}
-
+func (t *Tester) runCompiledBytecode(target concolic.Target, cm *jit.CompiledMethod, om *heap.ObjectMemory, cpu *machine.CPU, frame *interp.Frame, inputs map[heap.Word]int) (*CompiledObservation, error) {
 	// Frame setup per the compiled calling convention: temporaries pushed
 	// first (temp 0 deepest), then the sentinel return address; the
 	// receiver travels in ReceiverResultReg.
@@ -408,16 +436,7 @@ func (t *Tester) runCompiledBytecode(target concolic.Target, om *heap.ObjectMemo
 	return obs, nil
 }
 
-func (t *Tester) runCompiledNative(target concolic.Target, om *heap.ObjectMemory, cpu *machine.CPU, frame *interp.Frame, inputs map[heap.Word]int, isa machine.ISA) (*CompiledObservation, error) {
-	prim := t.Prims.Lookup(target.PrimIndex)
-	if prim == nil {
-		return nil, fmt.Errorf("%w: unknown primitive %d", jit.ErrNotCompilable, target.PrimIndex)
-	}
-	cm, err := t.compileNative(om, prim, isa)
-	if err != nil {
-		return nil, err
-	}
-
+func (t *Tester) runCompiledNative(cm *jit.CompiledMethod, om *heap.ObjectMemory, cpu *machine.CPU, frame *interp.Frame, inputs map[heap.Word]int) (*CompiledObservation, error) {
 	cpu.Reset()
 	if err := pushWord(cpu, machine.SentinelReturn); err != nil {
 		return nil, err

@@ -5,17 +5,15 @@ import (
 	"strings"
 
 	"cogdiff/internal/concolic"
-	"cogdiff/internal/heap"
-	"cogdiff/internal/ir"
-	"cogdiff/internal/jit"
+	"cogdiff/internal/interp"
 	"cogdiff/internal/machine"
 )
 
 // DumpIR compiles one explored path of the instruction and renders every
 // compilation stage: the front-end IR, the IR after each optimization
-// pass, and the lowered machine program for both ISAs. The IR stages are
-// ISA-independent (the front-ends and passes never consult the target),
-// so they are printed once; only the lowered programs differ.
+// pass, and the lowered machine program for both ISAs. The path is
+// optimized once; both lowered programs come from the same retained
+// stages, which are printed once.
 //
 // Not every explored path materializes a compilable input frame (invalid
 // frames are the test runner's expected failures), so the dump uses the
@@ -36,47 +34,34 @@ func (t *Tester) DumpIR(target concolic.Target, ex *concolic.Exploration, kind C
 }
 
 func (t *Tester) dumpPathIR(target concolic.Target, ex *concolic.Exploration, path *concolic.PathResult, kind CompilerKind) (string, error) {
+	env := t.getEnv()
+	defer t.putEnv(env)
+	var frame *interp.Frame
+	if kind != NativeMethodCompilerKind {
+		var err error
+		if frame, err = concolic.NewFrameBuilder(env.om, ex.Universe, path.Model).BuildFrame(target); err != nil {
+			return "", err
+		}
+	}
+	st, err := t.optimizeUnit(env.om, target, kind, frame)
+	if err != nil {
+		return "", err
+	}
+
 	var b strings.Builder
 	fmt.Fprintf(&b, "instruction %s, compiler %s\n", target.Name, kind)
-
-	stagesDone := false
+	for k, fn := range st.IR {
+		name := "front-end"
+		if k > 0 {
+			name = st.Passes[k-1]
+		}
+		fmt.Fprintf(&b, "\n== %s ==\n%s", name, fn)
+	}
 	for _, isa := range []machine.ISA{machine.ISAAmd64Like, machine.ISAArm32Like} {
-		// A fresh object memory per ISA keeps heap addresses embedded in
-		// the code (true/false objects, floats) identical across dumps.
-		om := heap.NewBootedObjectMemory()
-		onStage := func(stage string, fn *ir.Fn) {
-			if stagesDone {
-				return
-			}
-			fmt.Fprintf(&b, "\n== %s ==\n%s", stage, fn)
-		}
-		var cm *jit.CompiledMethod
-		var err error
-		if kind == NativeMethodCompilerKind {
-			prim := t.Prims.Lookup(target.PrimIndex)
-			if prim == nil {
-				return "", fmt.Errorf("unknown primitive %d", target.PrimIndex)
-			}
-			nc := jit.NewNativeMethodCompiler(isa, om, t.Defects)
-			nc.OnStage = onStage
-			cm, err = nc.CompileNativeMethod(prim)
-		} else {
-			frame, ferr := concolic.NewFrameBuilder(om, ex.Universe, path.Model).BuildFrame(target)
-			if ferr != nil {
-				return "", ferr
-			}
-			inputStack := make([]heap.Word, frame.Size())
-			for i, v := range frame.Stack {
-				inputStack[i] = v.W
-			}
-			cogit := jit.NewCogit(variantOf(kind), isa, om, t.Defects)
-			cogit.OnStage = onStage
-			cm, err = cogit.CompileBytecode(target.Method, inputStack)
-		}
+		cm, err := st.Lower(st.Final(), isa)
 		if err != nil {
 			return "", err
 		}
-		stagesDone = true
 		fmt.Fprintf(&b, "\n== lowered %s ==\n%s", isa, cm.Prog.Disassemble())
 	}
 	return b.String(), nil

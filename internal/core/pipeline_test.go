@@ -55,8 +55,8 @@ var bytecodeKinds = []CompilerKind{
 }
 
 // TestPipelineSoundnessOnPristineVM pins the pass-soundness self-check:
-// with every defect off, compiling with the full pipeline and with the
-// pipeline disabled must produce identical observable behaviour on every
+// with every defect off, the front-end's stage and the fully optimized
+// stage must produce identical observable behaviour on every
 // explored path of every instruction, for every variant and ISA.
 func TestPipelineSoundnessOnPristineVM(t *testing.T) {
 	prims := primitives.NewTable()
@@ -64,11 +64,12 @@ func TestPipelineSoundnessOnPristineVM(t *testing.T) {
 	explorer := concolic.NewExplorer(prims, concolic.DefaultOptions())
 	for _, target := range pipelineTargets(t) {
 		ex := explorer.Explore(target)
+		run := tester.BeginUnit(target, ex)
 		for pi, path := range ex.Paths {
 			for _, kind := range bytecodeKinds {
 				for _, isa := range []machine.ISA{machine.ISAAmd64Like, machine.ISAArm32Like} {
-					raw, rawErr := tester.runCompiled(target, ex, path, kind, isa, 0)
-					opt, optErr := tester.runCompiled(target, ex, path, kind, isa, -1)
+					raw, rawErr := run.runCompiled(path, kind, isa, 0)
+					opt, optErr := run.runCompiled(path, kind, isa, finalStage)
 					if (rawErr == nil) != (optErr == nil) {
 						// The one sanctioned flip: constant folding may
 						// materialize an immediate the fixed-width ISA cannot
@@ -90,6 +91,7 @@ func TestPipelineSoundnessOnPristineVM(t *testing.T) {
 				}
 			}
 		}
+		run.Close()
 	}
 }
 

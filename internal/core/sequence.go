@@ -116,15 +116,13 @@ const maxSequenceSteps = 100000
 
 // SequenceHooks observes one sequence execution for coverage-guided
 // fuzzing. Any field may be nil; a nil *SequenceHooks disables observation
-// entirely.
+// entirely. The compilation itself is observed through OptimizeSequence's
+// onIR hook, since it runs once for every ISA.
 type SequenceHooks struct {
 	// InterpOp sees every byte-code opcode the interpreter executes.
 	InterpOp func(op bytecode.Op)
 	// InterpExit sees the interpreter's boundary exit kind.
 	InterpExit func(kind interp.ExitKind)
-	// EmitIR sees every post-pipeline JIT IR opcode of the whole-method
-	// compilation (labels excluded).
-	EmitIR func(op ir.Opc)
 	// Block sees the program-relative offset of every basic-block entry
 	// the compiled run reaches through a taken branch.
 	Block func(offset int64)
@@ -133,65 +131,76 @@ type SequenceHooks struct {
 }
 
 // TestSequence executes method with the given inputs on the interpreter
-// and as whole-method machine code, comparing the first boundary.
+// and as whole-method machine code for isa, comparing the first boundary.
 func (t *Tester) TestSequence(method *bytecode.Method, in SequenceInput, kind CompilerKind, isa machine.ISA) (*SequenceVerdict, error) {
-	return t.TestSequenceObserved(method, in, kind, isa, nil)
-}
-
-// TestSequenceObserved is TestSequence with coverage hooks attached to
-// both executions.
-func (t *Tester) TestSequenceObserved(method *bytecode.Method, in SequenceInput, kind CompilerKind, isa machine.ISA, h *SequenceHooks) (*SequenceVerdict, error) {
-	if kind == NativeMethodCompilerKind {
-		return nil, fmt.Errorf("core: sequence testing applies to byte-code compilers")
-	}
-	iOut, err := t.InterpSequence(method, in, h)
+	vs, err := t.TestSequenceISAs(method, in, kind, []machine.ISA{isa})
 	if err != nil {
 		return nil, err
 	}
-	cOut, err := t.CompiledSequence(method, in, kind, isa, h)
+	return vs[0], nil
+}
+
+// TestSequenceISAs is TestSequence over several ISAs: the interpreter
+// runs once, the method is optimized once, and each ISA lowers and runs
+// the same verified stages. Verdicts come back in isas order.
+func (t *Tester) TestSequenceISAs(method *bytecode.Method, in SequenceInput, kind CompilerKind, isas []machine.ISA) ([]*SequenceVerdict, error) {
+	if kind == NativeMethodCompilerKind {
+		return nil, errNativeSequence
+	}
+	iOut, err := t.InterpSequence(method, in, nil)
+	if err != nil {
+		return nil, err
+	}
+	vs := make([]*SequenceVerdict, len(isas))
+	st, err := t.OptimizeSequence(method, in, kind, nil)
 	if err != nil {
 		var verr *irverify.Error
-		if errors.As(err, &verr) {
-			// Static verdict: the verifier rejected the whole-method body,
-			// so the difference is established — and blamed — without
-			// executing it.
-			return &SequenceVerdict{
+		if !errors.As(err, &verr) {
+			return nil, err
+		}
+		// Static verdict: the verifier rejected the whole-method body,
+		// so the difference is established — and blamed — without
+		// executing it, on every ISA alike.
+		for i := range vs {
+			vs[i] = &SequenceVerdict{
 				Differs:  true,
 				Cause:    verr.Blame(),
 				Detail:   "static IR verification failed: " + verr.Error(),
 				Interp:   *iOut,
 				Compiled: SequenceOutcome{Kind: "error: verifier reject: " + verr.Error()},
-			}, nil
+			}
 		}
-		return nil, err
+		return vs, nil
 	}
-	v := CompareSequenceOutcomes(iOut, cOut)
-	if v.Differs {
-		v.Cause = t.BlameSequence(method, in, kind, isa, iOut)
+	for i, isa := range isas {
+		cOut, err := t.CompiledSequence(st, st.Final(), method, in, isa, nil)
+		if err != nil {
+			return nil, err
+		}
+		v := CompareSequenceOutcomes(iOut, cOut)
+		if v.Differs {
+			v.Cause = t.BlameSequence(st, method, in, isa, iOut)
+		}
+		vs[i] = v
 	}
-	return v, nil
+	return vs, nil
 }
 
-// BlameSequence attributes a differing sequence verdict to a compilation
-// stage by re-running the compiled execution with the pass pipeline
-// truncated at every prefix: if the bare front-end output (no passes)
-// already differs from the interpreter the front-end is blamed,
-// otherwise the first pass whose inclusion flips the verdict is.
-func (t *Tester) BlameSequence(method *bytecode.Method, in SequenceInput, kind CompilerKind, isa machine.ISA, iOut *SequenceOutcome) string {
-	passes := jit.PipelineFor(variantOf(kind), t.Defects)
-	for k := 0; k <= len(passes); k++ {
-		cOut, err := t.compiledSequenceLimited(method, in, kind, isa, nil, k)
+// BlameSequence attributes a differing sequence verdict on isa to a
+// compilation stage by executing every stage st retained: if the bare
+// front-end output already differs from the interpreter the front-end is
+// blamed, otherwise the first pass whose output flips the verdict is.
+func (t *Tester) BlameSequence(st *jit.Stages, method *bytecode.Method, in SequenceInput, isa machine.ISA, iOut *SequenceOutcome) string {
+	for k := 0; k <= st.Final(); k++ {
+		cOut, err := t.CompiledSequence(st, k, method, in, isa, nil)
 		if err != nil {
 			return "front-end"
 		}
 		if CompareSequenceOutcomes(iOut, cOut).Differs {
-			if k == 0 {
-				return "front-end"
-			}
-			return "pass:" + passes[k-1].Name
+			return st.StageName(k)
 		}
 	}
-	// Every prefix agreed yet the full pipeline differed: re-running was
+	// Every stage agreed yet the optimized run differed: re-running was
 	// not reproducible, which the blame string surfaces rather than hides.
 	return "unreproducible"
 }
@@ -308,37 +317,51 @@ func (t *Tester) interpSequenceIn(om *heap.ObjectMemory, method *bytecode.Method
 	return &SequenceOutcome{Kind: "error: step limit"}, nil
 }
 
-// CompiledSequence compiles method whole and executes the machine code up
-// to its first boundary. The hooks, when non-nil, observe every emitted IR
-// instruction, every taken-branch block entry and the stop kind.
-func (t *Tester) CompiledSequence(method *bytecode.Method, in SequenceInput, kind CompilerKind, isa machine.ISA, h *SequenceHooks) (*SequenceOutcome, error) {
-	return t.compiledSequenceLimited(method, in, kind, isa, h, -1)
-}
+var errNativeSequence = errors.New("core: sequence testing applies to byte-code compilers")
 
-// compiledSequenceLimited is CompiledSequence with the pass pipeline
-// truncated to its first passLimit passes (negative runs the full
-// pipeline); blame re-runs use the truncation to bisect.
-func (t *Tester) compiledSequenceLimited(method *bytecode.Method, in SequenceInput, kind CompilerKind, isa machine.ISA, h *SequenceHooks, passLimit int) (*SequenceOutcome, error) {
+// OptimizeSequence compiles method whole under kind's front-end and pass
+// pipeline, once for every ISA. The front-end runs over the sequence's
+// input frame, so the stages record the literal boxes it allocated on top
+// of that frame. onIR, when non-nil, observes every post-pipeline IR
+// opcode (labels excluded).
+func (t *Tester) OptimizeSequence(method *bytecode.Method, in SequenceInput, kind CompilerKind, onIR func(ir.Opc)) (*jit.Stages, error) {
 	if kind == NativeMethodCompilerKind {
-		return nil, fmt.Errorf("core: sequence testing applies to byte-code compilers")
+		return nil, errNativeSequence
 	}
 	env := t.getEnv()
-	out, err := t.compiledSequenceIn(env, method, in, kind, isa, h, passLimit)
+	st, err := t.optimizeSequenceIn(env.om, method, in, kind, onIR)
+	t.putEnv(env)
+	return st, err
+}
+
+func (t *Tester) optimizeSequenceIn(om *heap.ObjectMemory, method *bytecode.Method, in SequenceInput, kind CompilerKind, onIR func(ir.Opc)) (*jit.Stages, error) {
+	if _, err := buildSequenceFrame(om, method, in); err != nil {
+		return nil, err
+	}
+	return t.optimize(om, true, kind, method, nil, onIR)
+}
+
+// CompiledSequence lowers stage k of st for isa and executes the machine
+// code up to its first boundary, on a fresh environment whose input frame
+// is rebuilt and whose heap replays st's literal boxes. The hooks, when
+// non-nil, observe every taken-branch block entry and the stop kind.
+func (t *Tester) CompiledSequence(st *jit.Stages, k int, method *bytecode.Method, in SequenceInput, isa machine.ISA, h *SequenceHooks) (*SequenceOutcome, error) {
+	env := t.getEnv()
+	out, err := t.compiledSequenceIn(env, st, k, method, in, isa, h)
 	t.putEnv(env)
 	return out, err
 }
 
-func (t *Tester) compiledSequenceIn(env *execEnv, method *bytecode.Method, in SequenceInput, kind CompilerKind, isa machine.ISA, h *SequenceHooks, passLimit int) (*SequenceOutcome, error) {
+func (t *Tester) compiledSequenceIn(env *execEnv, st *jit.Stages, k int, method *bytecode.Method, in SequenceInput, isa machine.ISA, h *SequenceHooks) (*SequenceOutcome, error) {
 	om, cpu := env.om, env.cpu
 	frame, err := buildSequenceFrame(om, method, in)
 	if err != nil {
 		return nil, err
 	}
-	var onIR func(ir.Opc)
-	if h != nil && h.EmitIR != nil {
-		onIR = h.EmitIR
+	if err := st.Replay(om); err != nil {
+		return nil, err
 	}
-	cm, err := t.compileBytecode(om, true, variantOf(kind), isa, passLimit, method, nil, onIR)
+	cm, err := st.Lower(k, isa)
 	if err != nil {
 		return nil, err
 	}

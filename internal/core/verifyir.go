@@ -7,7 +7,6 @@ import (
 	"strings"
 
 	"cogdiff/internal/concolic"
-	"cogdiff/internal/heap"
 	"cogdiff/internal/interp"
 	"cogdiff/internal/irverify"
 	"cogdiff/internal/jit"
@@ -152,28 +151,23 @@ func (c *Campaign) VerifyIR(ctx context.Context) (*VerifySweepResult, error) {
 	return res, nil
 }
 
-// verifyInstruction compiles every (path, ISA) unit of one instruction
-// under one compiler with the verifier on, recording violations and
-// expected skips. Nothing executes.
+// verifyInstruction optimizes every path of one instruction once under
+// one compiler with the verifier on and lowers it for both ISAs,
+// recording violations and expected skips per (path, ISA). Nothing
+// executes.
 func (c *Campaign) verifyInstruction(t *Tester, kind CompilerKind, target concolic.Target, ex *concolic.Exploration) VerifyRow {
 	row := VerifyRow{Compiler: kind, Instruction: target.Name}
 	if ex == nil {
 		return row
 	}
-	isas := []machine.ISA{machine.ISAAmd64Like, machine.ISAArm32Like}
 	if kind == NativeMethodCompilerKind {
-		// Native templates are path-independent: one compile per ISA
-		// covers the instruction.
-		prim := t.Prims.Lookup(target.PrimIndex)
-		if prim == nil {
-			row.Skipped += len(isas)
-			return row
-		}
-		for _, isa := range isas {
-			env := t.getEnv()
-			_, err := t.compileNative(env.om, prim, isa)
-			t.putEnv(env)
-			c.recordVerifyOutcome(&row, -1, isa, err)
+		// Native templates are path-independent: one compile covers the
+		// instruction.
+		env := t.getEnv()
+		st, err := t.optimizeNative(env.om, target.PrimIndex)
+		t.putEnv(env)
+		for _, isa := range verifyISAs {
+			row.recordOutcome(-1, isa, lowerOutcome(st, err, isa))
 		}
 		return row
 	}
@@ -182,11 +176,25 @@ func (c *Campaign) verifyInstruction(t *Tester, kind CompilerKind, target concol
 			row.Skipped++
 			continue
 		}
-		for _, isa := range isas {
-			row.recordOutcome(pi, isa, c.safeVerifyCompile(t, target, ex, path, kind, isa))
+		st, err := c.safeVerifyOptimize(t, target, ex, path, kind)
+		for _, isa := range verifyISAs {
+			row.recordOutcome(pi, isa, lowerOutcome(st, err, isa))
 		}
 	}
 	return row
+}
+
+var verifyISAs = []machine.ISA{machine.ISAAmd64Like, machine.ISAArm32Like}
+
+// lowerOutcome is one ISA's compile outcome for a unit whose optimization
+// returned st and err: the optimization error itself, else the lowering
+// error.
+func lowerOutcome(st *jit.Stages, err error, isa machine.ISA) error {
+	if err != nil {
+		return err
+	}
+	_, err = st.Lower(st.Final(), isa)
+	return err
 }
 
 // verifySkipReason mirrors UnitRun.TestPath's expected-failure filter for
@@ -211,28 +219,22 @@ func verifySkipReason(target concolic.Target, path *concolic.PathResult, kind Co
 	return ""
 }
 
-// safeVerifyCompile compiles one (path, ISA) unit with panic containment;
-// a contained panic reports as a compile error, never as a clean unit.
-func (c *Campaign) safeVerifyCompile(t *Tester, target concolic.Target, ex *concolic.Exploration, path *concolic.PathResult, kind CompilerKind, isa machine.ISA) (err error) {
+// safeVerifyOptimize optimizes one path's unit with panic containment; a
+// contained panic reports as a compile error, never as a clean unit.
+func (c *Campaign) safeVerifyOptimize(t *Tester, target concolic.Target, ex *concolic.Exploration, path *concolic.PathResult, kind CompilerKind) (st *jit.Stages, err error) {
 	defer func() {
 		if p := recover(); p != nil {
 			c.panicsContained.Inc()
-			err = fmt.Errorf("panic contained: %v", p)
+			st, err = nil, fmt.Errorf("panic contained: %v", p)
 		}
 	}()
 	env := t.getEnv()
 	defer t.putEnv(env)
-	b := concolic.NewFrameBuilder(env.om, ex.Universe, path.Model)
-	frame, ferr := b.BuildFrame(target)
+	frame, ferr := concolic.NewFrameBuilder(env.om, ex.Universe, path.Model).BuildFrame(target)
 	if ferr != nil {
-		return fmt.Errorf("input construction failed: %w", ferr)
+		return nil, fmt.Errorf("input construction failed: %w", ferr)
 	}
-	stack := make([]heap.Word, frame.Size())
-	for i, v := range frame.Stack {
-		stack[i] = v.W
-	}
-	_, cerr := t.compileBytecode(env.om, false, variantOf(kind), isa, -1, target.Method, stack, nil)
-	return cerr
+	return t.optimizeUnit(env.om, target, kind, frame)
 }
 
 // recordOutcome classifies one compile result into the row's counters.
@@ -250,10 +252,4 @@ func (row *VerifyRow) recordOutcome(path int, isa machine.ISA, err error) {
 	default:
 		row.Skipped++
 	}
-}
-
-// recordVerifyOutcome is recordOutcome behind the campaign receiver, for
-// call sites that already hold one.
-func (c *Campaign) recordVerifyOutcome(row *VerifyRow, path int, isa machine.ISA, err error) {
-	row.recordOutcome(path, isa, err)
 }

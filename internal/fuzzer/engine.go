@@ -234,9 +234,10 @@ func builtinSeeds() []*Seq {
 	return seeds
 }
 
-// execute runs one genome through the interpreter once and through every
-// (compiler, ISA) pair, collecting the coverage bitmap and every differing
-// verdict. It is the parallel section: no engine state is touched.
+// execute runs one genome through the interpreter once, optimizes it once
+// per compiler and lowers it for every ISA, collecting the coverage
+// bitmap and every differing verdict. It is the parallel section: no
+// engine state is touched.
 //
 // A panic inside one execution (the heap layer escalates allocation and
 // access errors as panics) is contained here and reported as a
@@ -280,26 +281,33 @@ func (e *engine) execute(s *Seq) (out execOut) {
 		return out
 	}
 	for ci, kind := range e.compilers {
+		st, err := e.tester.OptimizeSequence(m, in, kind, func(op ir.Opc) {
+			cov.Set(covIRBase + uint32(ci)*64 + uint32(op)%64)
+		})
+		if errors.Is(err, jit.ErrNotCompilable) {
+			// The compiler declines the sequence (the meta-compiled
+			// front-end rejects witness-baking families in whole-method
+			// mode). A deterministic function of the genome, so skipping
+			// its pairs keeps reports byte-identical at any worker count.
+			continue
+		}
+		if err != nil {
+			out.invalid = true
+			return out
+		}
 		for ii, isa := range e.isas {
-			ci, ii := ci, ii
-			cOut, err := e.tester.CompiledSequence(m, in, kind, isa, &core.SequenceHooks{
-				EmitIR:       func(op ir.Opc) { cov.Set(covIRBase + uint32(ci)*64 + uint32(op)%64) },
+			cOut, err := e.tester.CompiledSequence(st, st.Final(), m, in, isa, &core.SequenceHooks{
 				Block:        func(off int64) { cov.Set(blockBit(ci, ii, off)) },
 				CompiledStop: func(k machine.StopKind) { cov.Set(covStopBase + uint32(ci)*16 + uint32(k)%16) },
 			})
-			if errors.Is(err, jit.ErrNotCompilable) {
-				// The pair declines the sequence (the meta-compiled
-				// front-end rejects witness-baking families in whole-method
-				// mode). A deterministic function of the genome, so skipping
-				// the pair keeps reports byte-identical at any worker count.
-				continue
-			}
 			if err != nil {
+				// One failing pair discards the whole genome, even when
+				// another ISA already lowered and ran it.
 				out.invalid = true
 				return out
 			}
 			if v := core.CompareSequenceOutcomes(iOut, cOut); v.Differs {
-				v.Cause = e.tester.BlameSequence(m, in, kind, isa, iOut)
+				v.Cause = e.tester.BlameSequence(st, m, in, isa, iOut)
 				out.diffs = append(out.diffs, diffObs{ci: ci, ii: ii, verdict: v})
 			}
 		}
@@ -402,17 +410,21 @@ func (e *engine) causeKeys(s *Seq) []string {
 	}
 	var keys []string
 	for _, kind := range e.compilers {
+		st, err := e.tester.OptimizeSequence(m, in, kind, nil)
+		if errors.Is(err, jit.ErrNotCompilable) {
+			continue
+		}
+		if err != nil {
+			return nil
+		}
 		for _, isa := range e.isas {
-			cOut, err := e.tester.CompiledSequence(m, in, kind, isa, nil)
-			if errors.Is(err, jit.ErrNotCompilable) {
-				continue
-			}
+			cOut, err := e.tester.CompiledSequence(st, st.Final(), m, in, isa, nil)
 			if err != nil {
 				return nil
 			}
 			if v := core.CompareSequenceOutcomes(iOut, cOut); v.Differs {
 				instrument, fam := core.ClassifySequence(v)
-				cause := e.tester.BlameSequence(m, in, kind, isa, iOut)
+				cause := e.tester.BlameSequence(st, m, in, isa, iOut)
 				keys = append(keys, instrument+"|"+fam.String()+"|"+cause)
 			}
 		}

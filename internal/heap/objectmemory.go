@@ -305,6 +305,37 @@ func (om *ObjectMemory) ResetToSeal() {
 	om.classes = om.classes[:om.sealedClasses]
 }
 
+// HeapRange copies the raw heap words in [from, to) heap offsets (as
+// reported by HeapUsed). A compilation records the words its front-end
+// allocated (boxed float and string literals) this way, so every other
+// ISA's execution can replay them at the same addresses.
+func (om *ObjectMemory) HeapRange(from, to int) []Word {
+	out := make([]Word, to-from)
+	copy(out, om.heap.words[from:to])
+	return out
+}
+
+// ReplayHeapRange re-applies a recorded allocation range at heap offset
+// from, bumping the allocation pointer past it. It fails unless HeapUsed
+// equals from, so the replayed objects land exactly at the addresses the
+// recorded compilation baked into its code.
+func (om *ObjectMemory) ReplayHeapRange(from int, words []Word) error {
+	if om.HeapUsed() != from {
+		return fmt.Errorf("heap: replay at offset %d but %d words are in use", from, om.HeapUsed())
+	}
+	if from+len(words) > om.heap.Size {
+		return fmt.Errorf("heap: replay of %d words overflows the heap", len(words))
+	}
+	base := int(om.next - om.heap.Base)
+	copy(om.heap.words[base:base+len(words)], words)
+	if len(words) > 0 {
+		om.heap.touch(base)
+		om.heap.touch(base + len(words) - 1)
+	}
+	om.next += Word(len(words))
+	return nil
+}
+
 // header reads and unpacks an object header.
 func (om *ObjectMemory) header(oop Word) (classIndex int, format Format, slots int, err error) {
 	h, err := om.Mem.Read(oop)

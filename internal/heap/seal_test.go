@@ -115,3 +115,42 @@ func TestAcquireBootedMatchesFreshBoot(t *testing.T) {
 	defer ReleaseBooted(got)
 	sameBootState(t, got, NewBootedObjectMemory())
 }
+
+func TestReplayHeapRangeValidatesWatermark(t *testing.T) {
+	om := NewBootedObjectMemory()
+	om.Seal()
+	start := om.HeapUsed()
+	if _, err := om.NewFloat(2.5); err != nil {
+		t.Fatal(err)
+	}
+	delta := om.HeapRange(start, om.HeapUsed())
+
+	om.ResetToSeal()
+	if err := om.ReplayHeapRange(start+1, delta); err == nil {
+		t.Fatal("replay at wrong watermark must fail")
+	}
+	if err := om.ReplayHeapRange(start, delta); err != nil {
+		t.Fatalf("replay at correct watermark: %v", err)
+	}
+
+	// The replayed float must read back at the address a fresh
+	// allocation would have given it.
+	fresh := NewBootedObjectMemory()
+	w, err := fresh.NewFloat(2.5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v, err := om.FloatValueOf(w)
+	if err != nil {
+		t.Fatalf("replayed float not readable at original oop: %v", err)
+	}
+	if v != 2.5 {
+		t.Fatalf("replayed float reads %v, want 2.5", v)
+	}
+
+	// A reset must rewind the replayed span like any other allocation.
+	om.ResetToSeal()
+	if om.HeapUsed() != start {
+		t.Fatalf("HeapUsed after reset = %d, want %d", om.HeapUsed(), start)
+	}
+}

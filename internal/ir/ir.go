@@ -241,8 +241,8 @@ type Fn struct {
 	Instrs []Instr
 }
 
-// Clone deep-copies the function. Passes transform clones, never their
-// input — the pipeline's purity contract.
+// Clone deep-copies the function, for passes that rewrite instructions in
+// place: a pass never mutates its input — the pipeline's purity contract.
 func (f *Fn) Clone() *Fn {
 	out := &Fn{Name: f.Name, Instrs: make([]Instr, len(f.Instrs))}
 	copy(out.Instrs, f.Instrs)

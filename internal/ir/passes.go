@@ -1,8 +1,9 @@
 package ir
 
 // A Pass is one deterministic IR-to-IR transformation. Run must be pure:
-// it clones its input and never mutates it, so the blame machinery can
-// re-run any pipeline prefix and compare outcomes.
+// it returns a new function and never mutates its input, so every stage
+// of a pipeline run stays valid and blame can execute any prefix's
+// output.
 type Pass struct {
 	Name string
 	Run  func(*Fn) *Fn
@@ -149,14 +150,14 @@ func ConstFold(signError bool) Pass {
 // fixpoint so pairs exposed by earlier removals are caught.
 func DeadPushPop() Pass {
 	return Pass{Name: "deadpushpop", Run: func(f *Fn) *Fn {
-		out := f.Clone()
+		cur := f.Instrs
 		for {
 			changed := false
-			next := out.Instrs[:0:0]
-			for i := 0; i < len(out.Instrs); i++ {
-				ins := out.Instrs[i]
-				if ins.Op == OpcPush && i+1 < len(out.Instrs) {
-					nx := out.Instrs[i+1]
+			next := make([]Instr, 0, len(cur))
+			for i := 0; i < len(cur); i++ {
+				ins := cur[i]
+				if ins.Op == OpcPush && i+1 < len(cur) {
+					nx := cur[i+1]
 					if nx.Op == OpcPop {
 						if nx.Rd != ins.Rs1 {
 							next = append(next, Instr{Op: OpcMovR, Rd: nx.Rd, Rs1: ins.Rs1})
@@ -173,9 +174,9 @@ func DeadPushPop() Pass {
 				}
 				next = append(next, ins)
 			}
-			out.Instrs = next
+			cur = next
 			if !changed {
-				return out
+				return &Fn{Name: f.Name, Instrs: cur}
 			}
 		}
 	}}
@@ -192,10 +193,9 @@ func DeadPushPop() Pass {
 // which the IR verifier's pass-effect check rejects before execution.
 func Peephole(dropPop bool) Pass {
 	return Pass{Name: "peephole", Run: func(f *Fn) *Fn {
-		out := f.Clone()
-		next := out.Instrs[:0:0]
+		next := make([]Instr, 0, len(f.Instrs))
 		dropped := false
-		for i, ins := range out.Instrs {
+		for i, ins := range f.Instrs {
 			switch {
 			case dropPop && !dropped && ins.Op == OpcPop:
 				dropped = true
@@ -204,14 +204,13 @@ func Peephole(dropPop bool) Pass {
 				continue
 			case isIdentityBinI(ins):
 				continue
-			case ins.IsJump() && i+1 < len(out.Instrs) &&
-				out.Instrs[i+1].Op == OpcLabel && out.Instrs[i+1].Sym == ins.Sym:
+			case ins.IsJump() && i+1 < len(f.Instrs) &&
+				f.Instrs[i+1].Op == OpcLabel && f.Instrs[i+1].Sym == ins.Sym:
 				continue
 			}
 			next = append(next, ins)
 		}
-		out.Instrs = next
-		return out
+		return &Fn{Name: f.Name, Instrs: next}
 	}}
 }
 

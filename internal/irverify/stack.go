@@ -141,13 +141,18 @@ func analyze(fn *ir.Fn) *analysis {
 		}
 	}
 
+	// Most points are reached in a single state, so each point's first
+	// state lives in one shared array and only points reached in several
+	// states allocate.
+	first := make([]absState, n)
 	seen := make([][]absState, n)
 	flagged := make([]bool, n) // one flow violation per instruction, max
 	type workItem struct {
 		index int
 		st    absState
 	}
-	work := []workItem{{0, absState{depthOK: true, rawOK: true}}}
+	work := make([]workItem, 1, 16)
+	work[0] = workItem{0, absState{depthOK: true, rawOK: true}}
 
 	flag := func(i int, rule, detail string) {
 		if !flagged[i] {
@@ -182,7 +187,12 @@ func analyze(fn *ir.Fn) *analysis {
 				continue
 			}
 		}
-		seen[i] = append(seen[i], st)
+		if len(seen[i]) == 0 {
+			first[i] = st
+			seen[i] = first[i : i+1 : i+1]
+		} else {
+			seen[i] = append(seen[i], st)
+		}
 		a.reached[i] = true
 
 		ins := fn.Instrs[i]

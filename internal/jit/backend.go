@@ -1,34 +1,34 @@
 package jit
 
 import (
+	"fmt"
 	"time"
 
-	"cogdiff/internal/defects"
+	"cogdiff/internal/heap"
 	"cogdiff/internal/ir"
 	"cogdiff/internal/irverify"
 	"cogdiff/internal/machine"
 )
 
-// Backend is the shared tail of every byte-code compilation: validate the
-// front-end's IR, run the variant's (possibly truncated) pass pipeline,
-// report post-pipeline opcodes to the coverage hook, and lower plus encode
-// to machine code. It exists so front-ends outside this package (the
+// Backend is the shared, ISA-free tail of every compilation: verify the
+// front-end's IR, run the front-end's pass pipeline with every stage
+// verified, report post-pipeline opcodes to the coverage hook, and retain
+// every stage as Stages. Front-ends outside this package (the
 // meta-compiled front-end of internal/metacompile) flow through exactly
-// the same pipeline, blame truncation, and telemetry as the hand-written
-// Cogits.
+// the same pipeline, verifier and telemetry as the hand-written Cogits
+// and the native-method compiler. Nothing here consults the target ISA:
+// Stages.Lower is the only per-ISA step.
 type Backend struct {
-	Variant   Variant
-	ISA       machine.ISA
-	Defects   defects.Switches
-	PassLimit int
-	Metrics   *PassMetrics
-	OnIR      func(ir.Opc)
-	OnStage   func(stage string, fn *ir.Fn)
+	// Passes is the pipeline the front-end's IR runs through, in order.
+	// The native-method compiler runs none.
+	Passes  []ir.Pass
+	Metrics *PassMetrics
+	OnIR    func(ir.Opc)
 	// Pool is the physical register pool lowering assigns to virtual
 	// registers.
 	Pool []machine.Reg
 	// NoVerify disables the static IR verifier. Verification is on by
-	// default: the front-end's output and every pass prefix are checked
+	// default: the front-end's output and every pass's output are checked
 	// for well-formedness and stack balance, and each pass for
 	// preservation of its input's abstract stack effect. A violation
 	// aborts compilation with an *irverify.Error whose Blame() string
@@ -40,6 +40,12 @@ type Backend struct {
 	// meta-compiled front-end, whose guard chains must always be able to
 	// bail out to the interpreter.
 	RequireDeopt bool
+	// OM is the object memory the front-end resolved its constants
+	// against, and HeapBase its HeapUsed when the front-end started. The
+	// words allocated since (boxed float and string literals) are
+	// retained in the Stages so every ISA's execution can replay them.
+	OM       *heap.ObjectMemory
+	HeapBase int
 }
 
 // stageVerifier carries the verifier's pipeline state from stage to
@@ -72,6 +78,19 @@ func (sv *stageVerifier) check(stage string, fn *ir.Fn) error {
 			bk.Metrics.observeVerify(time.Since(t0), violations) //cogdiff:allow-nondeterminism compile timing feeds telemetry histograms only
 		}
 	}
+	opts := irverify.Options{RequireDeopt: bk.RequireDeopt, DeoptBrkID: BrkMetaDeopt}
+	if len(bk.Passes) == 0 {
+		// No pass will transform fn (a native template), so there is no
+		// stage pair to cache: fn is verified directly. The verified-clean
+		// cache, and the analysis count gated against the committed bench
+		// record, cover pipeline stages.
+		vs := opts.Verify(fn)
+		done(len(vs))
+		if len(vs) > 0 {
+			return &irverify.Error{Stage: stage, Violations: vs}
+		}
+		return nil
+	}
 	// A pass that changed nothing preserved every invariant of its
 	// already verified input, including its stack effect; the carried
 	// hash and analysis stay valid for the next stage.
@@ -89,7 +108,6 @@ func (sv *stageVerifier) check(stage string, fn *ir.Fn) error {
 		done(0)
 		return nil
 	}
-	opts := irverify.Options{RequireDeopt: bk.RequireDeopt, DeoptBrkID: BrkMetaDeopt}
 	an := opts.Analyze(fn)
 	bk.Metrics.analyzed()
 	var vs []irverify.Violation
@@ -127,14 +145,78 @@ func sameInstrs(a, b *ir.Fn) bool {
 	return true
 }
 
-// Finish compiles the built IR down to a CompiledMethod.
-func (bk *Backend) Finish(b *ir.Builder, selectors []Selector, numTemps int) (*CompiledMethod, error) {
-	fn, err := b.Finish()
+// Stages is the ISA-free product of one compilation. It is verified once
+// and then lowered per ISA, and blame lowers any pipeline prefix from it
+// instead of recompiling: passes are pure, so one full run already holds
+// every prefix's output.
+type Stages struct {
+	// IR holds the front-end's output at index 0 and the IR after the
+	// pipeline's k-th pass at index k.
+	IR []*ir.Fn
+	// Passes names the pipeline: Passes[k-1] produced IR[k].
+	Passes    []string
+	Selectors []Selector
+	NumTemps  int
+	Pool      []machine.Reg
+	// HeapBase is the heap watermark (HeapUsed) the front-end started
+	// from, and Heap the words it allocated from there: the literal boxes
+	// whose addresses the IR embeds.
+	HeapBase int
+	Heap     []heap.Word
+
+	metrics *PassMetrics
+}
+
+// Final is the index of the fully optimized stage.
+func (s *Stages) Final() int { return len(s.IR) - 1 }
+
+// StageName names stage k as blame reports it: "front-end" for the
+// front-end's output, "pass:<name>" for a pass's.
+func (s *Stages) StageName(k int) string {
+	if k == 0 {
+		return "front-end"
+	}
+	return "pass:" + s.Passes[k-1]
+}
+
+// Lower is the per-ISA step: it lowers stage k to a machine program for
+// isa and encodes it. Every call produces one machine-code unit.
+func (s *Stages) Lower(k int, isa machine.ISA) (*CompiledMethod, error) {
+	prog, err := machine.Lower(s.IR[k], isa, machine.CodeBase, s.Pool)
 	if err != nil {
 		return nil, err
 	}
-	if bk.OnStage != nil {
-		bk.OnStage("front-end", fn)
+	code, err := machine.Encode(prog, isa)
+	if err != nil {
+		return nil, err
+	}
+	s.metrics.unitCompiled()
+	return &CompiledMethod{
+		Prog:      prog,
+		Code:      code,
+		ISA:       isa,
+		Selectors: s.Selectors,
+		NumTemps:  s.NumTemps,
+	}, nil
+}
+
+// Replay prepares om to execute code lowered from these stages: om must
+// stand at the recorded heap watermark (a deterministically rebuilt input
+// frame guarantees it), and the front-end's heap words are copied in at
+// their original addresses. A mismatch is an error, never a recompile.
+func (s *Stages) Replay(om *heap.ObjectMemory) error {
+	if err := om.ReplayHeapRange(s.HeapBase, s.Heap); err != nil {
+		return fmt.Errorf("jit: replaying compiled stages: %w", err)
+	}
+	return nil
+}
+
+// Optimize runs the built IR through the pipeline once and returns every
+// stage, each verified unless NoVerify is set.
+func (bk *Backend) Optimize(b *ir.Builder, selectors []Selector, numTemps int) (*Stages, error) {
+	fn, err := b.Finish()
+	if err != nil {
+		return nil, err
 	}
 	var sv *stageVerifier
 	if !bk.NoVerify {
@@ -143,12 +225,16 @@ func (bk *Backend) Finish(b *ir.Builder, selectors []Selector, numTemps int) (*C
 			return nil, err
 		}
 	}
-	passes := PipelineFor(bk.Variant, bk.Defects)
-	limit := bk.PassLimit
-	if limit < 0 || limit > len(passes) {
-		limit = len(passes)
+	st := &Stages{
+		IR:        make([]*ir.Fn, 1, len(bk.Passes)+1),
+		Passes:    make([]string, len(bk.Passes)),
+		Selectors: selectors,
+		NumTemps:  numTemps,
+		Pool:      bk.Pool,
+		metrics:   bk.Metrics,
 	}
-	for _, p := range passes[:limit] {
+	st.IR[0] = fn
+	for i, p := range bk.Passes {
 		if bk.Metrics != nil {
 			t0 := time.Now() //cogdiff:allow-nondeterminism compile timing feeds telemetry histograms only
 			fn = p.Run(fn)
@@ -156,14 +242,13 @@ func (bk *Backend) Finish(b *ir.Builder, selectors []Selector, numTemps int) (*C
 		} else {
 			fn = p.Run(fn)
 		}
-		if bk.OnStage != nil {
-			bk.OnStage(p.Name, fn)
-		}
 		if sv != nil {
 			if err := sv.check("pass:"+p.Name, fn); err != nil {
 				return nil, err
 			}
 		}
+		st.IR = append(st.IR, fn)
+		st.Passes[i] = p.Name
 	}
 	if bk.OnIR != nil {
 		for _, ins := range fn.Instrs {
@@ -172,20 +257,9 @@ func (bk *Backend) Finish(b *ir.Builder, selectors []Selector, numTemps int) (*C
 			}
 		}
 	}
-	prog, err := machine.Lower(fn, bk.ISA, machine.CodeBase, bk.Pool)
-	if err != nil {
-		return nil, err
+	if bk.OM != nil {
+		st.HeapBase = bk.HeapBase
+		st.Heap = bk.OM.HeapRange(bk.HeapBase, bk.OM.HeapUsed())
 	}
-	code, err := machine.Encode(prog, bk.ISA)
-	if err != nil {
-		return nil, err
-	}
-	bk.Metrics.unitCompiled()
-	return &CompiledMethod{
-		Prog:      prog,
-		Code:      code,
-		ISA:       bk.ISA,
-		Selectors: selectors,
-		NumTemps:  numTemps,
-	}, nil
+	return st, nil
 }

@@ -16,7 +16,6 @@ import (
 // against it, the way Cogit bakes oops into machine code).
 type Cogit struct {
 	Variant Variant
-	ISA     machine.ISA
 	OM      *heap.ObjectMemory
 	Defects defects.Switches
 
@@ -25,22 +24,12 @@ type Cogit struct {
 	// signal. Set it before compiling.
 	OnIR func(ir.Opc)
 
-	// OnStage, when non-nil, receives the IR after the front-end and
-	// after each optimization pass — the CLI's ir-dump hook.
-	OnStage func(stage string, fn *ir.Fn)
-
-	// PassLimit truncates the optimization pipeline to its first
-	// PassLimit passes; negative runs the full pipeline. The blame
-	// machinery recompiles with each prefix to attribute a difference to
-	// the first guilty pass.
-	PassLimit int
-
 	// Metrics, when non-nil, times every optimization pass and counts
 	// compiled units through pre-resolved telemetry handles.
 	Metrics *PassMetrics
 
 	// NoVerify disables the static IR verifier the Backend runs after
-	// the front-end and every pass prefix. Verification is on by default.
+	// the front-end and every pass. Verification is on by default.
 	NoVerify bool
 
 	// per-compilation state
@@ -57,13 +46,14 @@ type Cogit struct {
 	// per-pc label (whole-method compilation) instead of the single
 	// instruction test schema's "jumpTaken" breakpoint.
 	methodJumpLabel string
+	heapBase        int
 	err             error
 }
 
-// NewCogit builds a compiler of the given variant and ISA over om.
-func NewCogit(v Variant, isa machine.ISA, om *heap.ObjectMemory, sw defects.Switches) *Cogit {
-	c := &Cogit{Variant: v, ISA: isa, OM: om, Defects: sw, PassLimit: -1}
-	return c
+// NewCogit builds a compiler of the given variant over om. The compiler
+// is ISA-free: its Stages are lowered per ISA afterwards.
+func NewCogit(v Variant, om *heap.ObjectMemory, sw defects.Switches) *Cogit {
+	return &Cogit{Variant: v, OM: om, Defects: sw}
 }
 
 func (c *Cogit) reset() {
@@ -75,6 +65,7 @@ func (c *Cogit) reset() {
 	c.labelSeq = 0
 	c.usesJump = false
 	c.methodJumpLabel = ""
+	c.heapBase = c.OM.HeapUsed()
 	c.err = nil
 	if c.Variant == RegisterAllocatingCogit {
 		c.alloc = newLinearAllocator()
@@ -212,8 +203,9 @@ func (c *Cogit) freeReg(r ir.Reg) { c.alloc.free(r) }
 
 // ---- immediate helpers ----
 
-// moviBig loads an immediate. ISA-specific splitting is no longer a
-// front-end concern: lowering handles encoding limits.
+// moviBig loads an immediate. The front-end never splits it: lowering
+// splits only wide compare immediates, so on the fixed-width ISA
+// machine.Encode rejects a loaded immediate outside 32 bits.
 func (c *Cogit) moviBig(rd ir.Reg, imm int64) {
 	c.b.MovI(rd, imm)
 }
@@ -282,8 +274,9 @@ func (c *Cogit) emitEpilogueReturn() {
 // the schema of Listing 3: a frame preamble, one literal push per input
 // operand-stack value (bottom first), the instruction itself, and exit
 // breakpoints. inputStack holds the concrete input values the differential
-// tester materialized from the path's input constraints.
-func (c *Cogit) CompileBytecode(m *bytecode.Method, inputStack []heap.Word) (*CompiledMethod, error) {
+// tester materialized from the path's input constraints. It returns the
+// verified stages; Stages.Lower produces the machine code for one ISA.
+func (c *Cogit) CompileBytecode(m *bytecode.Method, inputStack []heap.Word) (*Stages, error) {
 	c.reset()
 	c.numTemps = m.TempCount()
 
@@ -326,21 +319,19 @@ func (c *Cogit) pool() []machine.Reg {
 	return []machine.Reg{machine.TempReg, machine.ExtraReg, machine.R1}
 }
 
-// finish runs the three-layer tail of compilation through the shared
-// Backend: validate the front-end's IR, run the (possibly truncated) pass
-// pipeline, report the post-pipeline opcodes to the coverage hook, and
-// lower to machine code.
-func (c *Cogit) finish() (*CompiledMethod, error) {
+// finish runs the shared Backend over the built IR: verify the
+// front-end's output, run and verify the variant's pass pipeline, report
+// the post-pipeline opcodes to the coverage hook, and retain every stage
+// together with the literal boxes the front-end allocated.
+func (c *Cogit) finish() (*Stages, error) {
 	bk := &Backend{
-		Variant:   c.Variant,
-		ISA:       c.ISA,
-		Defects:   c.Defects,
-		PassLimit: c.PassLimit,
-		Metrics:   c.Metrics,
-		OnIR:      c.OnIR,
-		OnStage:   c.OnStage,
-		Pool:      c.pool(),
-		NoVerify:  c.NoVerify,
+		Passes:   PipelineFor(c.Variant, c.Defects),
+		Metrics:  c.Metrics,
+		OnIR:     c.OnIR,
+		Pool:     c.pool(),
+		NoVerify: c.NoVerify,
+		OM:       c.OM,
+		HeapBase: c.heapBase,
 	}
-	return bk.Finish(c.b, c.selectors, c.numTemps)
+	return bk.Optimize(c.b, c.selectors, c.numTemps)
 }

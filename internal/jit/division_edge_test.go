@@ -46,10 +46,13 @@ func TestNativeDivisionTemplatesMatchInterpreter(t *testing.T) {
 	for _, isa := range []machine.ISA{machine.ISAAmd64Like, machine.ISAArm32Like} {
 		for _, p := range indices {
 			om := heap.NewBootedObjectMemory()
-			nc := NewNativeMethodCompiler(isa, om, defects.ProductionVM())
-			cm, err := nc.CompileNativeMethod(prims.Lookup(p.idx))
+			st, err := NewNativeMethodCompiler(om, defects.ProductionVM()).CompileNativeMethod(prims.Lookup(p.idx))
 			if err != nil {
 				t.Fatalf("%v %s: compile: %v", isa, p.name, err)
+			}
+			cm, err := st.Lower(st.Final(), isa)
+			if err != nil {
+				t.Fatalf("%v %s: lower: %v", isa, p.name, err)
 			}
 			for _, a := range nativeDivisionEdgeValues {
 				for _, b := range nativeDivisionEdgeValues {

@@ -14,12 +14,26 @@ func compileBC(t *testing.T, v Variant, isa machine.ISA, op bytecode.Op, stack [
 	t.Helper()
 	om := heap.NewBootedObjectMemory()
 	m := &bytecode.Method{Name: "t", Code: []byte{byte(op)}}
-	cogit := NewCogit(v, isa, om, sw)
-	cm, err := cogit.CompileBytecode(m, stack)
+	cogit := NewCogit(v, om, sw)
+	st, err := cogit.CompileBytecode(m, stack)
 	if err != nil {
 		t.Fatalf("compile %v/%v: %v", v, op, err)
 	}
-	return cm, om
+	return mustLower(t, st, nil, isa), om
+}
+
+// mustLower lowers the optimized stage of a compilation that returned
+// (st, err) for isa, failing the test on either step's error.
+func mustLower(t *testing.T, st *Stages, err error, isa machine.ISA) *CompiledMethod {
+	t.Helper()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cm, err := st.Lower(st.Final(), isa)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return cm
 }
 
 // runBC executes a compiled byte-code test method with the standard frame.
@@ -115,20 +129,16 @@ func TestCompiledJumpTaken(t *testing.T) {
 	_ = cm
 	// Rebuild with the true object (needs om first for its oop).
 	m := &bytecode.Method{Name: "t", Code: []byte{byte(bytecode.OpShortJumpIfTrue1)}}
-	cogit := NewCogit(StackToRegisterCogit, machine.ISAArm32Like, om, defects.ProductionVM())
-	cm2, err := cogit.CompileBytecode(m, []heap.Word{om.TrueObj})
-	if err != nil {
-		t.Fatal(err)
-	}
+	cogit := NewCogit(StackToRegisterCogit, om, defects.ProductionVM())
+	st, err := cogit.CompileBytecode(m, []heap.Word{om.TrueObj})
+	cm2 := mustLower(t, st, err, machine.ISAArm32Like)
 	_, stop := runBC(t, om, cm2, om.NilObj, nil)
 	if stop.Kind != machine.StopBreakpoint || stop.BreakID != BrkJumpTaken {
 		t.Fatalf("jump on true: %v", stop)
 	}
 
-	cm3, err := cogit.CompileBytecode(m, []heap.Word{om.FalseObj})
-	if err != nil {
-		t.Fatal(err)
-	}
+	st, err = cogit.CompileBytecode(m, []heap.Word{om.FalseObj})
+	cm3 := mustLower(t, st, err, machine.ISAArm32Like)
 	_, stop = runBC(t, om, cm3, om.NilObj, nil)
 	if stop.Kind != machine.StopBreakpoint || stop.BreakID != BrkEndFall {
 		t.Fatalf("fall through on false: %v", stop)
@@ -151,18 +161,15 @@ func TestCompiledTempAccess(t *testing.T) {
 	om := heap.NewBootedObjectMemory()
 	m := &bytecode.Method{Name: "t", NumArgs: 2, Code: []byte{byte(bytecode.OpPushTemporaryVariable0 + 1)}}
 	for _, v := range allVariants() {
-		cogit := NewCogit(v, machine.ISAAmd64Like, om, defects.ProductionVM())
-		cm, err := cogit.CompileBytecode(m, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
+		st, err := NewCogit(v, om, defects.ProductionVM()).CompileBytecode(m, nil)
+		cm := mustLower(t, st, err, machine.ISAAmd64Like)
 		cpu, stop := runBC(t, om, cm, om.NilObj, []heap.Word{heap.SmallIntFor(10), heap.SmallIntFor(20)})
 		if stop.Kind != machine.StopBreakpoint {
 			t.Fatalf("%v: stop %v", v, stop)
 		}
-		st := operandStack(t, cpu)
-		if len(st) != 1 || st[0] != heap.SmallIntFor(20) {
-			t.Fatalf("%v: pushTemp1 gave %v", v, st)
+		stack := operandStack(t, cpu)
+		if len(stack) != 1 || stack[0] != heap.SmallIntFor(20) {
+			t.Fatalf("%v: pushTemp1 gave %v", v, stack)
 		}
 	}
 }
@@ -174,14 +181,10 @@ func TestSimpleVsStackToRegisterCodeShape(t *testing.T) {
 	m := &bytecode.Method{Name: "t", Code: []byte{byte(bytecode.OpPopStackTop)}}
 	input := []heap.Word{heap.SmallIntFor(1)}
 
-	simple, err := NewCogit(SimpleStackBasedCogit, machine.ISAAmd64Like, om, defects.Switches{}).CompileBytecode(m, input)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s2r, err := NewCogit(StackToRegisterCogit, machine.ISAAmd64Like, om, defects.Switches{}).CompileBytecode(m, input)
-	if err != nil {
-		t.Fatal(err)
-	}
+	st, err := NewCogit(SimpleStackBasedCogit, om, defects.Switches{}).CompileBytecode(m, input)
+	simple := mustLower(t, st, err, machine.ISAAmd64Like)
+	st, err = NewCogit(StackToRegisterCogit, om, defects.Switches{}).CompileBytecode(m, input)
+	s2r := mustLower(t, st, err, machine.ISAAmd64Like)
 	if s2r.Prog.Len() >= simple.Prog.Len() {
 		t.Fatalf("stack-to-register (%d instrs) should beat simple (%d instrs)",
 			s2r.Prog.Len(), simple.Prog.Len())
@@ -192,14 +195,10 @@ func TestVariantsProduceDifferentRegisterAssignments(t *testing.T) {
 	om := heap.NewBootedObjectMemory()
 	m := &bytecode.Method{Name: "t", Code: []byte{byte(bytecode.OpPrimAdd)}}
 	input := []heap.Word{heap.SmallIntFor(1), heap.SmallIntFor(2)}
-	s2r, err := NewCogit(StackToRegisterCogit, machine.ISAAmd64Like, om, defects.Switches{}).CompileBytecode(m, input)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ra, err := NewCogit(RegisterAllocatingCogit, machine.ISAAmd64Like, om, defects.Switches{}).CompileBytecode(m, input)
-	if err != nil {
-		t.Fatal(err)
-	}
+	st, err := NewCogit(StackToRegisterCogit, om, defects.Switches{}).CompileBytecode(m, input)
+	s2r := mustLower(t, st, err, machine.ISAAmd64Like)
+	st, err = NewCogit(RegisterAllocatingCogit, om, defects.Switches{}).CompileBytecode(m, input)
+	ra := mustLower(t, st, err, machine.ISAAmd64Like)
 	if s2r.Prog.Disassemble() == ra.Prog.Disassemble() {
 		t.Fatal("linear-scan allocation should assign registers differently")
 	}
@@ -209,14 +208,10 @@ func TestISAsEncodeDifferently(t *testing.T) {
 	om := heap.NewBootedObjectMemory()
 	m := &bytecode.Method{Name: "t", Code: []byte{byte(bytecode.OpPrimAdd)}}
 	input := []heap.Word{heap.SmallIntFor(1), heap.SmallIntFor(2)}
-	amd, err := NewCogit(StackToRegisterCogit, machine.ISAAmd64Like, om, defects.Switches{}).CompileBytecode(m, input)
-	if err != nil {
-		t.Fatal(err)
-	}
-	arm, err := NewCogit(StackToRegisterCogit, machine.ISAArm32Like, om, defects.Switches{}).CompileBytecode(m, input)
-	if err != nil {
-		t.Fatal(err)
-	}
+	// One optimization, lowered for both ISAs.
+	st, err := NewCogit(StackToRegisterCogit, om, defects.Switches{}).CompileBytecode(m, input)
+	amd := mustLower(t, st, err, machine.ISAAmd64Like)
+	arm := mustLower(t, st, nil, machine.ISAArm32Like)
 	if len(amd.Code) == len(arm.Code) {
 		t.Fatalf("encodings should differ in size: %d vs %d", len(amd.Code), len(arm.Code))
 	}
@@ -229,7 +224,7 @@ func TestISAsEncodeDifferently(t *testing.T) {
 func TestPushThisContextNotCompilable(t *testing.T) {
 	om := heap.NewBootedObjectMemory()
 	m := &bytecode.Method{Name: "t", Code: []byte{byte(bytecode.OpPushThisContext)}}
-	_, err := NewCogit(StackToRegisterCogit, machine.ISAAmd64Like, om, defects.Switches{}).CompileBytecode(m, nil)
+	_, err := NewCogit(StackToRegisterCogit, om, defects.Switches{}).CompileBytecode(m, nil)
 	if err == nil {
 		t.Fatal("pushThisContext must not compile")
 	}
@@ -238,11 +233,8 @@ func TestPushThisContextNotCompilable(t *testing.T) {
 func TestNativeTemplateAdd(t *testing.T) {
 	om := heap.NewBootedObjectMemory()
 	prims := primitives.NewTable()
-	nc := NewNativeMethodCompiler(machine.ISAAmd64Like, om, defects.ProductionVM())
-	cm, err := nc.CompileNativeMethod(prims.Lookup(primitives.PrimIdxAdd))
-	if err != nil {
-		t.Fatal(err)
-	}
+	st, err := NewNativeMethodCompiler(om, defects.ProductionVM()).CompileNativeMethod(prims.Lookup(primitives.PrimIdxAdd))
+	cm := mustLower(t, st, err, machine.ISAAmd64Like)
 	cpu, _ := machine.New(om)
 	cpu.Reset()
 	cpu.Regs[machine.SP]--
@@ -259,11 +251,8 @@ func TestNativeTemplateAdd(t *testing.T) {
 func TestNativeTemplateFailsOnBadReceiver(t *testing.T) {
 	om := heap.NewBootedObjectMemory()
 	prims := primitives.NewTable()
-	nc := NewNativeMethodCompiler(machine.ISAArm32Like, om, defects.ProductionVM())
-	cm, err := nc.CompileNativeMethod(prims.Lookup(primitives.PrimIdxAdd))
-	if err != nil {
-		t.Fatal(err)
-	}
+	st, err := NewNativeMethodCompiler(om, defects.ProductionVM()).CompileNativeMethod(prims.Lookup(primitives.PrimIdxAdd))
+	cm := mustLower(t, st, err, machine.ISAArm32Like)
 	cpu, _ := machine.New(om)
 	cpu.Reset()
 	cpu.Regs[machine.ReceiverResultReg] = om.NilObj
@@ -285,11 +274,8 @@ func TestNativeMissingFunctionalityStub(t *testing.T) {
 			break
 		}
 	}
-	nc := NewNativeMethodCompiler(machine.ISAAmd64Like, om, defects.ProductionVM())
-	cm, err := nc.CompileNativeMethod(ffi)
-	if err != nil {
-		t.Fatal(err)
-	}
+	st, err := NewNativeMethodCompiler(om, defects.ProductionVM()).CompileNativeMethod(ffi)
+	cm := mustLower(t, st, err, machine.ISAAmd64Like)
 	cpu, _ := machine.New(om)
 	cpu.Install(cm.Prog)
 	stop := cpu.Run(10)
@@ -302,10 +288,15 @@ func TestAllNativeTemplatesCompile(t *testing.T) {
 	om := heap.NewBootedObjectMemory()
 	prims := primitives.NewTable()
 	for _, sw := range []defects.Switches{defects.ProductionVM(), defects.Pristine()} {
-		for _, isa := range []machine.ISA{machine.ISAAmd64Like, machine.ISAArm32Like} {
-			nc := NewNativeMethodCompiler(isa, om, sw)
-			for _, p := range prims.All() {
-				if _, err := nc.CompileNativeMethod(p); err != nil {
+		nc := NewNativeMethodCompiler(om, sw)
+		for _, p := range prims.All() {
+			st, err := nc.CompileNativeMethod(p)
+			if err != nil {
+				t.Errorf("%s (defects=%v): %v", p.Name, sw.FFIMissingInJIT, err)
+				continue
+			}
+			for _, isa := range []machine.ISA{machine.ISAAmd64Like, machine.ISAArm32Like} {
+				if _, err := st.Lower(st.Final(), isa); err != nil {
 					t.Errorf("%s on %v (defects=%v): %v", p.Name, isa, sw.FFIMissingInJIT, err)
 				}
 			}
@@ -316,7 +307,7 @@ func TestAllNativeTemplatesCompile(t *testing.T) {
 func TestAllBytecodesCompileOrAreCurated(t *testing.T) {
 	om := heap.NewBootedObjectMemory()
 	for _, v := range allVariants() {
-		cogit := NewCogit(v, machine.ISAAmd64Like, om, defects.ProductionVM())
+		cogit := NewCogit(v, om, defects.ProductionVM())
 		for _, op := range bytecode.AllOpcodes() {
 			d := bytecode.Describe(op)
 			if d.Family == bytecode.FamCallPrimitive {
@@ -331,7 +322,10 @@ func TestAllBytecodesCompileOrAreCurated(t *testing.T) {
 			}
 			// Three input cells cover every instruction's operand needs.
 			input := []heap.Word{heap.SmallIntFor(1), heap.SmallIntFor(2), heap.SmallIntFor(3)}
-			_, err := cogit.CompileBytecode(m, input)
+			st, err := cogit.CompileBytecode(m, input)
+			if err == nil {
+				_, err = st.Lower(st.Final(), machine.ISAAmd64Like)
+			}
 			if err != nil && d.Family != bytecode.FamPushThisContext {
 				t.Errorf("%v: %s does not compile: %v", v, d.Mnemonic, err)
 			}

@@ -42,7 +42,7 @@ func jumpTargets(m *bytecode.Method) (map[int]bool, error) {
 // intra-method control flow. Message sends compile to trampoline calls
 // (observation points for the sequence tester); returns compile to the
 // frame epilogue; falling off the end answers the receiver.
-func (c *Cogit) CompileMethod(m *bytecode.Method, inputStack []heap.Word) (*CompiledMethod, error) {
+func (c *Cogit) CompileMethod(m *bytecode.Method, inputStack []heap.Word) (*Stages, error) {
 	c.reset()
 	c.numTemps = m.TempCount()
 

@@ -2,13 +2,10 @@ package jit
 
 import (
 	"fmt"
-	"time"
 
 	"cogdiff/internal/defects"
 	"cogdiff/internal/heap"
 	"cogdiff/internal/ir"
-	"cogdiff/internal/irverify"
-	"cogdiff/internal/machine"
 	"cogdiff/internal/primitives"
 )
 
@@ -19,16 +16,11 @@ import (
 // success returns to the caller with the result in ReceiverResultReg,
 // failure jumps to the fall-through breakpoint (Listing 4).
 type NativeMethodCompiler struct {
-	ISA     machine.ISA
 	OM      *heap.ObjectMemory
 	Defects defects.Switches
 
-	// OnStage, when non-nil, observes the template IR before lowering.
-	// Native methods run no passes, so the only stage is "front-end".
-	OnStage func(stage string, fn *ir.Fn)
-
-	// Metrics, when non-nil, counts compiled units. Native methods run
-	// no passes, so no pass timing applies.
+	// Metrics, when non-nil, counts compiled units and verifier runs.
+	// Native methods run no passes, so no pass timing applies.
 	Metrics *PassMetrics
 
 	// NoVerify disables the static IR verifier over the template output.
@@ -36,13 +28,15 @@ type NativeMethodCompiler struct {
 	// stack-balance rules apply, after the single "front-end" stage.
 	NoVerify bool
 
-	b   *ir.Builder
-	seq int
+	b        *ir.Builder
+	seq      int
+	heapBase int
 }
 
-// NewNativeMethodCompiler builds a native-method compiler over om.
-func NewNativeMethodCompiler(isa machine.ISA, om *heap.ObjectMemory, sw defects.Switches) *NativeMethodCompiler {
-	return &NativeMethodCompiler{ISA: isa, OM: om, Defects: sw}
+// NewNativeMethodCompiler builds a native-method compiler over om. Like
+// the Cogits it is ISA-free: its Stages are lowered per ISA afterwards.
+func NewNativeMethodCompiler(om *heap.ObjectMemory, sw defects.Switches) *NativeMethodCompiler {
+	return &NativeMethodCompiler{OM: om, Defects: sw}
 }
 
 func (n *NativeMethodCompiler) label(prefix string) string {
@@ -56,9 +50,10 @@ const fallthroughLabel = "fallthrough"
 
 // CompileNativeMethod compiles the native behavior of one primitive and
 // appends the stop instruction that detects fall-through cases.
-func (n *NativeMethodCompiler) CompileNativeMethod(p *primitives.Primitive) (*CompiledMethod, error) {
+func (n *NativeMethodCompiler) CompileNativeMethod(p *primitives.Primitive) (*Stages, error) {
 	n.b = ir.NewBuilder()
 	n.seq = 0
+	n.heapBase = n.OM.HeapUsed()
 
 	if defects.IsMissingInJIT(n.Defects, p.Name, p.Category) {
 		// Never implemented in the 32-bit compiler: the generated stub
@@ -74,39 +69,17 @@ func (n *NativeMethodCompiler) CompileNativeMethod(p *primitives.Primitive) (*Co
 	return n.finish()
 }
 
-// finish lowers the template IR directly: native templates run no
-// optimization passes and use no virtual registers, so the pool is nil.
-func (n *NativeMethodCompiler) finish() (*CompiledMethod, error) {
-	fn, err := n.b.Finish()
-	if err != nil {
-		return nil, err
+// finish runs the template IR through the shared Backend with an empty
+// pipeline: native templates are already shaped and use no virtual
+// registers, so the pool is nil.
+func (n *NativeMethodCompiler) finish() (*Stages, error) {
+	bk := &Backend{
+		Metrics:  n.Metrics,
+		NoVerify: n.NoVerify,
+		OM:       n.OM,
+		HeapBase: n.heapBase,
 	}
-	if n.OnStage != nil {
-		n.OnStage("front-end", fn)
-	}
-	if !n.NoVerify {
-		var t0 time.Time
-		if n.Metrics != nil {
-			t0 = time.Now() //cogdiff:allow-nondeterminism compile timing feeds telemetry histograms only
-		}
-		vs := (irverify.Options{}).Verify(fn)
-		if n.Metrics != nil {
-			n.Metrics.observeVerify(time.Since(t0), len(vs)) //cogdiff:allow-nondeterminism compile timing feeds telemetry histograms only
-		}
-		if len(vs) > 0 {
-			return nil, &irverify.Error{Stage: "front-end", Violations: vs}
-		}
-	}
-	prog, err := machine.Lower(fn, n.ISA, machine.CodeBase, nil)
-	if err != nil {
-		return nil, err
-	}
-	code, err := machine.Encode(prog, n.ISA)
-	if err != nil {
-		return nil, err
-	}
-	n.Metrics.unitCompiled()
-	return &CompiledMethod{Prog: prog, Code: code, ISA: n.ISA}, nil
+	return bk.Optimize(n.b, nil, 0)
 }
 
 // ---- shared shapes ----

@@ -5,9 +5,9 @@
 // constraints become a guard sequence, the path's recorded frame effect
 // becomes straight-line IR, and an input no explored path claims falls
 // through to a deoptimization stub. The generated front-end flows through
-// exactly the back-end the hand-written Cogits use (pass pipeline,
-// lowering, encoding), so pass-level blame, telemetry and both ISAs work
-// unchanged.
+// exactly the back-end the hand-written Cogits use (pass pipeline and
+// verifier once, then lowering and encoding per ISA), so pass-level
+// blame, telemetry and both ISAs work unchanged.
 //
 // Soundness note: single-instruction test units replay the exact witness
 // input the differ materialized from the path model, so the generator may
@@ -47,17 +47,13 @@ var methodBlockedFamilies = map[bytecode.Family]bool{
 // compiles for one object memory; compile-time constants (class words,
 // boxed literals) are resolved against it.
 type Compiler struct {
-	ISA     machine.ISA
 	OM      *heap.ObjectMemory
 	Defects defects.Switches
 
-	// PassLimit, Metrics, OnIR and OnStage mirror the Cogit fields: they
-	// parameterize the shared Backend (blame truncation, pass telemetry,
-	// coverage and ir-dump hooks).
-	PassLimit int
-	Metrics   *jit.PassMetrics
-	OnIR      func(ir.Opc)
-	OnStage   func(stage string, fn *ir.Fn)
+	// Metrics and OnIR mirror the Cogit fields: they parameterize the
+	// shared Backend (pass telemetry and the coverage hook).
+	Metrics *jit.PassMetrics
+	OnIR    func(ir.Opc)
 
 	// NoVerify disables the Backend's static IR verifier. When on (the
 	// default) the verifier additionally demands a reachable deopt stub:
@@ -65,30 +61,32 @@ type Compiler struct {
 	NoVerify bool
 }
 
-// NewCompiler builds a meta-compiled front-end over om.
-func NewCompiler(isa machine.ISA, om *heap.ObjectMemory, sw defects.Switches) *Compiler {
-	return &Compiler{ISA: isa, OM: om, Defects: sw, PassLimit: -1}
+// NewCompiler builds a meta-compiled front-end over om. Like the Cogits
+// it is ISA-free: its Stages are lowered per ISA afterwards.
+func NewCompiler(om *heap.ObjectMemory, sw defects.Switches) *Compiler {
+	return &Compiler{OM: om, Defects: sw}
 }
 
-func (c *Compiler) finish(l *lowerer) (*jit.CompiledMethod, error) {
+// finish runs the generated IR through the shared Backend. heapBase is
+// the heap watermark the lowering started from: the literal boxes it
+// allocated since are retained with the stages.
+func (c *Compiler) finish(l *lowerer, heapBase int) (*jit.Stages, error) {
 	if l.err != nil {
 		return nil, l.err
 	}
 	bk := &jit.Backend{
-		Variant:   jit.MetaJITCogit,
-		ISA:       c.ISA,
-		Defects:   c.Defects,
-		PassLimit: c.PassLimit,
-		Metrics:   c.Metrics,
-		OnIR:      c.OnIR,
-		OnStage:   c.OnStage,
+		Passes:  jit.PipelineFor(jit.MetaJITCogit, c.Defects),
+		Metrics: c.Metrics,
+		OnIR:    c.OnIR,
 		// The generated front-end works on physical registers only; the
 		// pool exists for lowering's virtual-register contract.
 		Pool:         []machine.Reg{machine.TempReg, machine.ExtraReg, machine.R1},
 		NoVerify:     c.NoVerify,
 		RequireDeopt: true,
+		OM:           c.OM,
+		HeapBase:     heapBase,
 	}
-	return bk.Finish(l.b, l.selectors, l.numTemps)
+	return bk.Optimize(l.b, l.selectors, l.numTemps)
 }
 
 // CompileBytecode compiles the single-instruction test schema of
@@ -98,7 +96,8 @@ func (c *Compiler) finish(l *lowerer) (*jit.CompiledMethod, error) {
 // stub. Exactly one block's full guard sequence can match any input —
 // each path's recorded constraints are complete — so chain order does not
 // affect semantics.
-func (c *Compiler) CompileBytecode(m *bytecode.Method, inputStack []heap.Word) (*jit.CompiledMethod, error) {
+func (c *Compiler) CompileBytecode(m *bytecode.Method, inputStack []heap.Word) (*jit.Stages, error) {
+	heapBase := c.OM.HeapUsed()
 	plan := PlanFor(m)
 	supported := plan.SupportedPaths()
 	if len(supported) == 0 {
@@ -131,7 +130,7 @@ func (c *Compiler) CompileBytecode(m *bytecode.Method, inputStack []heap.Word) (
 	}
 	l.b.Label("deopt")
 	l.b.Brk(jit.BrkMetaDeopt)
-	return c.finish(l)
+	return c.finish(l, heapBase)
 }
 
 // CompileMethod compiles a whole method as a sequence of per-byte-code
@@ -140,7 +139,8 @@ func (c *Compiler) CompileBytecode(m *bytecode.Method, inputStack []heap.Word) (
 // frame epilogue; falling off the end answers the receiver. The guard
 // chain must be total here — any byte-code whose path tree is incomplete
 // or whose family needs witness baking makes the method not compilable.
-func (c *Compiler) CompileMethod(m *bytecode.Method, inputStack []heap.Word) (*jit.CompiledMethod, error) {
+func (c *Compiler) CompileMethod(m *bytecode.Method, inputStack []heap.Word) (*jit.Stages, error) {
+	heapBase := c.OM.HeapUsed()
 	l := newLowerer(c.OM, c.Defects, m.TempCount())
 	l.wholeMethod = true
 	l.codeLen = len(m.Code)
@@ -205,7 +205,7 @@ func (c *Compiler) CompileMethod(m *bytecode.Method, inputStack []heap.Word) (*j
 	l.b.Ret()
 	l.b.Label("deopt")
 	l.b.Brk(jit.BrkMetaDeopt)
-	return c.finish(l)
+	return c.finish(l, heapBase)
 }
 
 // subMethod rebases the instruction at [pc,next) into a standalone method

@@ -133,11 +133,13 @@ func TestProgram(p *Program, receiver int64, args ...int64) ([]SequenceResult, e
 	for _, kind := range []core.CompilerKind{
 		core.SimpleBytecodeCompiler, core.StackToRegisterCompiler, core.RegisterAllocatingCompiler,
 	} {
-		for _, isa := range []machine.ISA{machine.ISAAmd64Like, machine.ISAArm32Like} {
-			v, err := tester.TestSequence(m, in, kind, isa)
-			if err != nil {
-				return nil, err
-			}
+		isas := []machine.ISA{machine.ISAAmd64Like, machine.ISAArm32Like}
+		vs, err := tester.TestSequenceISAs(m, in, kind, isas)
+		if err != nil {
+			return nil, err
+		}
+		for i, isa := range isas {
+			v := vs[i]
 			out = append(out, SequenceResult{
 				Compiler: kind.String(),
 				ISA:      isa.String(),
