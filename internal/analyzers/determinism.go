@@ -15,7 +15,8 @@ import (
 //     the randomized iteration order becomes the output order. The
 //     repo-standard collect-keys-then-sort idiom ranges without
 //     emitting and passes; a fmt print call or Write* method inside the
-//     loop does not.
+//     loop does not, and neither does returning a fmt.Errorf from it
+//     (the first failing key would be a random one).
 //
 // Test files are exempt. Production sites that are intentionally
 // nondeterministic — telemetry timings that never reach a report, the
@@ -84,10 +85,22 @@ var writeMethods = map[string]bool{
 }
 
 // emitsInLoop reports whether the loop body emits output — an fmt print
-// call or a Write* method call — making iteration order observable.
+// call, a Write* method call or a returned fmt.Errorf — making iteration
+// order observable.
 func emitsInLoop(info *types.Info, body *ast.BlockStmt) bool {
 	emits := false
 	ast.Inspect(body, func(n ast.Node) bool {
+		if ret, ok := n.(*ast.ReturnStmt); ok {
+			for _, r := range ret.Results {
+				if call, ok := ast.Unparen(r).(*ast.CallExpr); ok {
+					if fn := calleeFunc(info, call); fn != nil && fn.Pkg() != nil &&
+						fn.Pkg().Path() == "fmt" && fn.Name() == "Errorf" {
+						emits = true
+					}
+				}
+			}
+			return !emits
+		}
 		call, ok := n.(*ast.CallExpr)
 		if !ok || emits {
 			return !emits

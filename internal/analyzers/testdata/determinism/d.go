@@ -5,6 +5,7 @@ package determinism
 import (
 	"fmt"
 	"math/rand" // want "use a seeded, explicitly threaded source"
+	"sort"
 	"time"
 )
 
@@ -39,6 +40,29 @@ func collectAndSort(m map[string]int) []string {
 		keys = append(keys, k)
 	}
 	return keys
+}
+
+func firstErrorInMapOrder(m map[string]int) error {
+	for k, v := range m { // want "map range emits output in iteration order"
+		if v < 0 {
+			return fmt.Errorf("negative %q", k)
+		}
+	}
+	return nil
+}
+
+func firstErrorInSortedOrder(m map[string]int) error {
+	keys := make([]string, 0, len(m))
+	for k := range m { // collected, then sorted: not flagged
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	for _, k := range keys {
+		if m[k] < 0 {
+			return fmt.Errorf("negative %q", k)
+		}
+	}
+	return nil
 }
 
 func sliceRange(xs []int) {

@@ -7,13 +7,15 @@ import "fmt"
 type Builder struct {
 	m      *Method
 	labels map[string]int // label -> code offset
-	fixups map[int]fixup  // code offset of operandless short jump -> pending label
+	fixups []fixup        // pending short jumps, in emission order
 	errs   []error
 }
 
+// fixup is one operandless short jump at code offset pos, waiting for
+// label's offset.
 type fixup struct {
+	pos   int
 	label string
-	long  bool
 }
 
 // NewBuilder starts a method with the given name and argument count.
@@ -21,7 +23,6 @@ func NewBuilder(name string, numArgs int) *Builder {
 	return &Builder{
 		m:      &Method{Name: name, NumArgs: numArgs},
 		labels: make(map[string]int),
-		fixups: make(map[int]fixup),
 	}
 }
 
@@ -164,16 +165,18 @@ func (b *Builder) jump(label string, fam Family) *Builder {
 	}
 	pos := len(b.m.Code)
 	b.emit(base) // distance 1 placeholder
-	b.fixups[pos] = fixup{label: label}
+	b.fixups = append(b.fixups, fixup{pos, label})
 	return b
 }
 
-// Method finalizes the method: resolves jump fixups and validates.
+// Method finalizes the method: resolves jump fixups in emission order,
+// so a failure names the first offending jump, and validates.
 func (b *Builder) Method() (*Method, error) {
 	if len(b.errs) > 0 {
 		return nil, b.errs[0]
 	}
-	for pos, fx := range b.fixups {
+	for _, fx := range b.fixups {
+		pos := fx.pos
 		target, ok := b.labels[fx.label]
 		if !ok {
 			return nil, fmt.Errorf("method %s: undefined label %q", b.m.Name, fx.label)

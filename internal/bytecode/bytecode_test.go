@@ -133,6 +133,17 @@ func TestBuilderUndefinedLabel(t *testing.T) {
 	}
 }
 
+// TestBuilderUndefinedLabelsInEmissionOrder pins Method's error to the
+// first undefined label the method's jumps reference.
+func TestBuilderUndefinedLabelsInEmissionOrder(t *testing.T) {
+	for i := 0; i < 50; i++ {
+		_, err := NewBuilder("bad", 0).Jump("first").JumpIfTrue("second").Method()
+		if err == nil || err.Error() != `method bad: undefined label "first"` {
+			t.Fatalf("run %d: got %v, want the first undefined label in emission order", i, err)
+		}
+	}
+}
+
 func TestBuilderJumpTooFar(t *testing.T) {
 	b := NewBuilder("far", 0).Jump("end")
 	for i := 0; i < 20; i++ {

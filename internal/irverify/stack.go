@@ -2,7 +2,6 @@ package irverify
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"cogdiff/internal/ir"
@@ -52,14 +51,41 @@ type absState struct {
 // pathological inputs; real pipelines see one or two states).
 const maxStatesPerPoint = 8
 
-// analysis is the result of one abstract interpretation of a function.
+// analysis is the retained result of one abstract interpretation of a
+// function: everything else lives in the pooled scratch and is gone once
+// Analyze returns.
 type analysis struct {
-	// reached marks instructions the entry can flow to.
-	reached []bool
-	// exits lists every reachable exit point in linear order.
+	// exits lists every reachable exit point in linear order. Their
+	// state sets share one backing array.
 	exits []exitPoint
 	// violations are the flow-sensitive rule violations.
 	violations []Violation
+}
+
+// point is one instruction's record in the flow analysis. Most points
+// are reached in a single state, which lives inline; further distinct
+// states go to the scratch's shared overflow slice, linked per point.
+type point struct {
+	first absState
+	// n counts the distinct states recorded; zero means unreached.
+	n int32
+	// extra is 1 + the overflow index of the latest extra state, 0 when
+	// there is none (so a cleared point needs no initialization).
+	extra int32
+	// flagged limits the flow violations to one per instruction.
+	flagged bool
+}
+
+func (p *point) reached() bool { return p.n > 0 }
+
+type overflowState struct {
+	st   absState
+	next int32 // the point's previous extra state, in point.extra's encoding
+}
+
+type workItem struct {
+	index int
+	st    absState
 }
 
 // exitState is one abstract arrival state at an exit instruction,
@@ -126,40 +152,21 @@ func (e exitPoint) effect() string {
 	return fmt.Sprintf("%s [%s]", e.op, joined)
 }
 
-// analyze runs the abstract interpretation. It assumes the structural
-// rules already passed: every jump target resolves.
-func analyze(fn *ir.Fn) *analysis {
+// analyze runs the abstract interpretation over the jump targets
+// resolveLabels left in s. On a structurally broken function an
+// unresolved jump lands on instruction 0 and a duplicated label's jumps
+// on its last definition; the structural rules report both.
+func (s *scratch) analyze(fn *ir.Fn) analysis {
+	var a analysis
 	n := len(fn.Instrs)
-	a := &analysis{reached: make([]bool, n)}
+	s.points = resize(s.points, n)
+	clear(s.points)
 	if n == 0 {
 		return a
 	}
-	labels := make(map[string]int, 8)
-	for i, ins := range fn.Instrs {
-		if ins.Op == ir.OpcLabel {
-			labels[ins.Sym] = i
-		}
-	}
-
-	// Most points are reached in a single state, so each point's first
-	// state lives in one shared array and only points reached in several
-	// states allocate.
-	first := make([]absState, n)
-	seen := make([][]absState, n)
-	flagged := make([]bool, n) // one flow violation per instruction, max
-	type workItem struct {
-		index int
-		st    absState
-	}
-	work := make([]workItem, 1, 16)
-	work[0] = workItem{0, absState{depthOK: true, rawOK: true}}
-
-	flag := func(i int, rule, detail string) {
-		if !flagged[i] {
-			flagged[i] = true
-			a.violations = append(a.violations, Violation{Rule: rule, Index: i, Detail: detail})
-		}
-	}
+	points := s.points
+	s.overflow = s.overflow[:0]
+	work := append(s.work[:0], workItem{0, absState{depthOK: true, rawOK: true}})
 
 	for len(work) > 0 {
 		it := work[len(work)-1]
@@ -170,30 +177,24 @@ func analyze(fn *ir.Fn) *analysis {
 		}
 		// Merge into the point's recorded states; revisit only with a
 		// genuinely new state.
-		dup := false
-		for _, prev := range seen[i] {
-			if prev == st {
-				dup = true
-				break
-			}
-		}
-		if dup {
+		p := &points[i]
+		if s.recorded(p, st) {
 			continue
 		}
-		if len(seen[i]) >= maxStatesPerPoint {
+		if p.n >= maxStatesPerPoint {
 			if st.depthOK || st.fpOK {
 				st = absState{}
 			} else {
 				continue
 			}
 		}
-		if len(seen[i]) == 0 {
-			first[i] = st
-			seen[i] = first[i : i+1 : i+1]
+		if p.n == 0 {
+			p.first = st
 		} else {
-			seen[i] = append(seen[i], st)
+			s.overflow = append(s.overflow, overflowState{st: st, next: p.extra})
+			p.extra = int32(len(s.overflow))
 		}
-		a.reached[i] = true
+		p.n++
 
 		ins := fn.Instrs[i]
 		next := st
@@ -208,15 +209,15 @@ func analyze(fn *ir.Fn) *analysis {
 		case ir.OpcPop:
 			if next.depthOK {
 				if next.depth <= 0 {
-					flag(i, RuleUnderflow, fmt.Sprintf("pop at stack depth %d", next.depth))
+					a.flag(p, i, RuleUnderflow, fmt.Sprintf("pop at stack depth %d", next.depth))
 				}
 				next.depth--
 			} else {
-				flag(i, RuleStackJoin, "pop with unprovable stack depth")
+				a.flag(p, i, RuleStackJoin, "pop with unprovable stack depth")
 			}
 			next.raw--
 			if ins.Rd == ir.SP {
-				flag(i, RuleStackTrack, "pop into sp")
+				a.flag(p, i, RuleStackTrack, "pop into sp")
 				next.depthOK = false
 				next.rawOK = false
 			}
@@ -228,7 +229,7 @@ func analyze(fn *ir.Fn) *analysis {
 		case ir.OpcAddI, ir.OpcSubI:
 			if ins.Rd == ir.SP {
 				if ins.Rs1 != ir.SP {
-					flag(i, RuleStackTrack, fmt.Sprintf("sp defined from %s", ins.Rs1))
+					a.flag(p, i, RuleStackTrack, fmt.Sprintf("sp defined from %s", ins.Rs1))
 					next.depthOK = false
 					next.rawOK = false
 					break
@@ -240,10 +241,10 @@ func analyze(fn *ir.Fn) *analysis {
 				if next.depthOK {
 					next.depth += int(delta)
 					if next.depth < 0 {
-						flag(i, RuleUnderflow, fmt.Sprintf("sp adjusted to depth %d", next.depth))
+						a.flag(p, i, RuleUnderflow, fmt.Sprintf("sp adjusted to depth %d", next.depth))
 					}
 				} else {
-					flag(i, RuleStackJoin, "sp adjustment with unprovable stack depth")
+					a.flag(p, i, RuleStackJoin, "sp adjustment with unprovable stack depth")
 				}
 				next.raw += int(delta)
 			}
@@ -265,11 +266,11 @@ func analyze(fn *ir.Fn) *analysis {
 				if next.fpOK {
 					next.depth, next.depthOK = next.fp, true
 				} else {
-					flag(i, RuleStackTrack, "sp restored from an untracked fp")
+					a.flag(p, i, RuleStackTrack, "sp restored from an untracked fp")
 					next.depthOK = false
 				}
 			case ins.Rd == ir.SP:
-				flag(i, RuleStackTrack, fmt.Sprintf("sp defined from %s", ins.Rs1))
+				a.flag(p, i, RuleStackTrack, fmt.Sprintf("sp defined from %s", ins.Rs1))
 				next.depthOK = false
 				next.rawOK = false
 			case ins.Rd == ir.FP:
@@ -277,14 +278,14 @@ func analyze(fn *ir.Fn) *analysis {
 			}
 		case ir.OpcRet:
 			if !next.depthOK {
-				flag(i, RuleFrameBalance, "return with unprovable stack depth (conflicting join)")
+				a.flag(p, i, RuleFrameBalance, "return with unprovable stack depth (conflicting join)")
 			} else if next.depth != 0 {
-				flag(i, RuleFrameBalance, fmt.Sprintf("return at stack depth %d (want 0)", next.depth))
+				a.flag(p, i, RuleFrameBalance, fmt.Sprintf("return at stack depth %d (want 0)", next.depth))
 			}
 		default:
 			if sh := shapes[ins.Op]; sh.rd && ins.Op != ir.OpcStoreX {
 				if ins.Rd == ir.SP {
-					flag(i, RuleStackTrack, fmt.Sprintf("sp defined by %s", ins.Op))
+					a.flag(p, i, RuleStackTrack, fmt.Sprintf("sp defined by %s", ins.Op))
 					next.depthOK = false
 					next.rawOK = false
 				}
@@ -298,51 +299,113 @@ func analyze(fn *ir.Fn) *analysis {
 		case ins.Op == ir.OpcRet || ins.Op == ir.OpcHlt || ins.Op == ir.OpcBrk:
 			// exit; no successors
 		case ins.Op == ir.OpcJmp:
-			work = append(work, workItem{labels[ins.Sym], next})
+			work = append(work, workItem{s.jumpTarget(i), next})
 		case ins.IsJump():
-			work = append(work, workItem{labels[ins.Sym], next})
+			work = append(work, workItem{s.jumpTarget(i), next})
 			work = append(work, workItem{i + 1, next})
 		default:
 			work = append(work, workItem{i + 1, next})
 		}
 	}
+	s.work = work
 
 	// Collect reachable exits in linear order, each with its canonically
-	// sorted, deduplicated set of arrival states.
+	// sorted, deduplicated set of arrival states. One array backs every
+	// exit's states.
+	nexits, nstates := 0, 0
 	for i, ins := range fn.Instrs {
-		if !a.reached[i] {
-			continue
-		}
-		switch ins.Op {
-		case ir.OpcBrk, ir.OpcRet, ir.OpcHlt:
-			e := exitPoint{index: i, op: ins.Op}
-			if ins.Op == ir.OpcBrk {
-				e.brkID = ins.Imm
-			}
-			for _, st := range seen[i] {
-				s := exitState{depthOK: st.depthOK, rawOK: st.rawOK}
-				if st.depthOK {
-					s.depth = st.depth
-				}
-				if st.rawOK {
-					s.raw = st.raw
-				}
-				dup := false
-				for _, prev := range e.states {
-					if prev == s {
-						dup = true
-						break
-					}
-				}
-				if !dup {
-					e.states = append(e.states, s)
-				}
-			}
-			sort.Slice(e.states, func(x, y int) bool { return e.states[x].less(e.states[y]) })
-			a.exits = append(a.exits, e)
+		if points[i].reached() && isExit(ins.Op) {
+			nexits++
+			nstates += int(points[i].n)
 		}
 	}
+	if nexits == 0 {
+		return a
+	}
+	a.exits = make([]exitPoint, 0, nexits)
+	states := make([]exitState, 0, nstates)
+	for i, ins := range fn.Instrs {
+		p := &points[i]
+		if !p.reached() || !isExit(ins.Op) {
+			continue
+		}
+		e := exitPoint{index: i, op: ins.Op}
+		if ins.Op == ir.OpcBrk {
+			e.brkID = ins.Imm
+		}
+		start := len(states)
+		states = addExitState(states, start, p.first)
+		for j := p.extra; j > 0; j = s.overflow[j-1].next {
+			states = addExitState(states, start, s.overflow[j-1].st)
+		}
+		e.states = states[start:len(states):len(states)]
+		sortExitStates(e.states)
+		a.exits = append(a.exits, e)
+	}
 	return a
+}
+
+// recorded reports whether st is already one of p's states.
+func (s *scratch) recorded(p *point, st absState) bool {
+	if p.n == 0 {
+		return false
+	}
+	if p.first == st {
+		return true
+	}
+	for j := p.extra; j > 0; j = s.overflow[j-1].next {
+		if s.overflow[j-1].st == st {
+			return true
+		}
+	}
+	return false
+}
+
+// jumpTarget is the flow successor of jump i: its label's last
+// definition, or instruction 0 when the label is undefined.
+func (s *scratch) jumpTarget(i int) int {
+	return max(int(s.target[i]), 0)
+}
+
+// flag records a flow violation at instruction i, at most one per
+// instruction.
+func (a *analysis) flag(p *point, i int, rule, detail string) {
+	if !p.flagged {
+		p.flagged = true
+		a.violations = append(a.violations, Violation{Rule: rule, Index: i, Detail: detail})
+	}
+}
+
+func isExit(op ir.Opc) bool {
+	return op == ir.OpcBrk || op == ir.OpcRet || op == ir.OpcHlt
+}
+
+// addExitState projects st onto what a pass must preserve and appends
+// it to states unless states[start:] already holds it.
+func addExitState(states []exitState, start int, st absState) []exitState {
+	s := exitState{depthOK: st.depthOK, rawOK: st.rawOK}
+	if st.depthOK {
+		s.depth = st.depth
+	}
+	if st.rawOK {
+		s.raw = st.raw
+	}
+	for _, prev := range states[start:] {
+		if prev == s {
+			return states
+		}
+	}
+	return append(states, s)
+}
+
+// sortExitStates sorts a point's few states into canonical order
+// (insertion sort: at most maxStatesPerPoint+1 elements, no allocation).
+func sortExitStates(xs []exitState) {
+	for i := 1; i < len(xs); i++ {
+		for j := i; j > 0 && xs[j].less(xs[j-1]); j-- {
+			xs[j], xs[j-1] = xs[j-1], xs[j]
+		}
+	}
 }
 
 // VerifyPassEffect is the translation-validation-lite check: a correct

@@ -24,6 +24,7 @@ package irverify
 
 import (
 	"fmt"
+	"sync"
 
 	"cogdiff/internal/ir"
 )
@@ -79,10 +80,11 @@ const (
 // means the front-end (or a pass) built the instruction wrong, even if
 // lowering happens to ignore it today.
 type shape struct {
+	known                  bool // false for opcodes outside shapeTable
 	rd, rs1, rs2, imm, sym bool
 }
 
-var shapes = map[ir.Opc]shape{
+var shapeTable = map[ir.Opc]shape{
 	ir.OpcNop:        {},
 	ir.OpcMovR:       {rd: true, rs1: true},
 	ir.OpcMovI:       {rd: true, imm: true},
@@ -142,6 +144,17 @@ var shapes = map[ir.Opc]shape{
 	ir.OpcLabel:      {sym: true},
 }
 
+// shapes is shapeTable as a dense array indexed by opcode (ir.Opc is a
+// uint8, so every opcode indexes it), read once per instruction per
+// analysis instead of hashing into the map.
+var shapes = func() (t [256]shape) {
+	for op, sh := range shapeTable {
+		sh.known = true
+		t[op] = sh
+	}
+	return t
+}()
+
 // isTerminator reports an instruction after which control never falls
 // through: unconditional jump, return, halt, or breakpoint (the
 // simulated machine stops at breakpoints; code after one without an
@@ -163,8 +176,11 @@ func isTerminator(op ir.Opc) bool {
 type Analysis struct {
 	fn         *ir.Fn
 	structural []Violation
-	flow       *analysis // nil when structural violations suppressed it
-	deopt      []Violation
+	// flow keeps only what outlives the analysis: the flow-sensitive
+	// violations and the exit summary. The working arrays go back to the
+	// pool when Analyze returns.
+	flow  analysis
+	deopt []Violation
 }
 
 // Fn returns the analyzed function.
@@ -178,9 +194,7 @@ func (an *Analysis) Violations() []Violation {
 		return an.structural
 	}
 	var vs []Violation
-	if an.flow != nil {
-		vs = append(vs, an.flow.violations...)
-	}
+	vs = append(vs, an.flow.violations...)
 	return append(vs, an.deopt...)
 }
 
@@ -191,12 +205,20 @@ func (an *Analysis) Violations() []Violation {
 // a broken function so a pass that breaks stack balance is blamed on
 // stack-balance, not on whichever structural rule the breakage also
 // tripped.
+//
+// Labels are resolved once, into the scratch's per-instruction jump
+// targets that both the structural and the flow rules read; every
+// working array comes from a pool, so a clean function costs only the
+// retained result.
 func (o Options) Analyze(fn *ir.Fn) *Analysis {
-	an := &Analysis{fn: fn, structural: o.verifyStructural(fn)}
-	an.flow = analyze(fn)
+	s := scratchPool.Get().(*scratch)
+	s.resolveLabels(fn)
+	an := &Analysis{fn: fn, structural: o.verifyStructural(fn, s)}
+	an.flow = s.analyze(fn)
 	if len(an.structural) == 0 && o.RequireDeopt {
-		an.deopt = o.verifyDeopt(fn, an.flow)
+		an.deopt = o.verifyDeopt(fn, s.points)
 	}
+	scratchPool.Put(s)
 	return an
 }
 
@@ -206,36 +228,95 @@ func (o Options) Verify(fn *ir.Fn) []Violation {
 	return o.Analyze(fn).Violations()
 }
 
-// verifyStructural runs the linear-order rules: labels, opcode shapes,
-// register ranges, def-before-use, dead fallthrough, termination.
-func (o Options) verifyStructural(fn *ir.Fn) []Violation {
-	var vs []Violation
-	labels := make(map[string]int, 8)
+// scratch holds one analysis's working arrays. It is reused through
+// scratchPool, so the per-function cost of a verification is the
+// retained Analysis, not its working set.
+type scratch struct {
+	// labels maps a label to its first and last definitions.
+	labels map[string]labelDef
+	// target holds, per jump instruction, the index of its label's last
+	// definition, or -1 when the label is undefined.
+	target []int32
+	// points holds each instruction's abstract states; overflow holds
+	// the states past each point's first, linked per point.
+	points   []point
+	overflow []overflowState
+	work     []workItem
+}
+
+type labelDef struct{ first, last int32 }
+
+var scratchPool = sync.Pool{New: func() any {
+	return &scratch{labels: make(map[string]labelDef, 8)}
+}}
+
+// resolveLabels indexes fn's labels and resolves every jump. A
+// duplicated label keeps both ends: the structural rule reports the
+// first definition, while jumps land on the last one. Both choices are
+// part of the verdicts and exit summaries testdata/equivalence.golden
+// pins.
+func (s *scratch) resolveLabels(fn *ir.Fn) {
+	clear(s.labels)
 	for i, ins := range fn.Instrs {
 		if ins.Op == ir.OpcLabel {
-			if prev, dup := labels[ins.Sym]; dup {
-				vs = append(vs, Violation{Rule: RuleLabel, Index: i,
-					Detail: fmt.Sprintf("label %q already defined at #%d", ins.Sym, prev)})
-				continue
+			d, dup := s.labels[ins.Sym]
+			if !dup {
+				d.first = int32(i)
 			}
-			labels[ins.Sym] = i
+			d.last = int32(i)
+			s.labels[ins.Sym] = d
+		}
+	}
+	s.target = resize(s.target, len(fn.Instrs))
+	for i, ins := range fn.Instrs {
+		if !ins.IsJump() {
+			continue
+		}
+		if d, ok := s.labels[ins.Sym]; ok {
+			s.target[i] = d.last
+		} else {
+			s.target[i] = -1
+		}
+	}
+}
+
+// resize returns xs with length n, reusing its backing array when it is
+// large enough. Elements are not cleared.
+func resize[T any](xs []T, n int) []T {
+	if cap(xs) < n {
+		return make([]T, n)
+	}
+	return xs[:n]
+}
+
+// verifyStructural runs the linear-order rules: labels, opcode shapes,
+// register ranges, def-before-use, dead fallthrough, termination.
+func (o Options) verifyStructural(fn *ir.Fn, s *scratch) []Violation {
+	var vs []Violation
+	for i, ins := range fn.Instrs {
+		if ins.Op == ir.OpcLabel {
+			if first := s.labels[ins.Sym].first; int(first) != i {
+				vs = append(vs, Violation{Rule: RuleLabel, Index: i,
+					Detail: fmt.Sprintf("label %q already defined at #%d", ins.Sym, first)})
+			}
 		}
 	}
 
-	vregDef := make(map[ir.Reg]int)
+	// ir.Reg is a uint8, so the set of defined registers fits the stack.
+	var defined [256]bool
 	for i, ins := range fn.Instrs {
-		sh, known := shapes[ins.Op]
-		if !known {
+		sh := shapes[ins.Op]
+		if !sh.known {
 			vs = append(vs, Violation{Rule: RuleOpcodeShape, Index: i,
 				Detail: fmt.Sprintf("unknown opcode %s", ins.Op)})
 			continue
 		}
-		vs = append(vs, checkShape(i, ins, sh)...)
-		if ins.IsJump() {
-			if _, ok := labels[ins.Sym]; !ok {
-				vs = append(vs, Violation{Rule: RuleLabel, Index: i,
-					Detail: fmt.Sprintf("jump to undefined label %q", ins.Sym)})
-			}
+		if !wellShaped(ins, sh) {
+			vs = checkShape(vs, i, ins, sh)
+		}
+		if ins.IsJump() && s.target[i] < 0 {
+			vs = append(vs, Violation{Rule: RuleLabel, Index: i,
+				Detail: fmt.Sprintf("jump to undefined label %q", ins.Sym)})
 		}
 		// Dead fallthrough. The compilation schema deliberately plants
 		// exit stubs behind unconditional control transfers (an always-
@@ -258,28 +339,24 @@ func (o Options) verifyStructural(fn *ir.Fn) []Violation {
 		// linear, so a register's first definition precedes every use in
 		// any well-formed front-end output (backward jumps re-enter code
 		// that is linearly after the definition).
-		if sh.rs1 && ins.Rs1.IsVirtual() {
-			if _, ok := vregDef[ins.Rs1]; !ok {
-				vs = append(vs, Violation{Rule: RuleDefBeforeUse, Index: i,
-					Detail: fmt.Sprintf("%s read before any definition", ins.Rs1)})
-			}
+		if sh.rs1 && ins.Rs1.IsVirtual() && !defined[ins.Rs1] {
+			vs = append(vs, Violation{Rule: RuleDefBeforeUse, Index: i,
+				Detail: fmt.Sprintf("%s read before any definition", ins.Rs1)})
 		}
-		if sh.rs2 && ins.Rs2.IsVirtual() {
-			if _, ok := vregDef[ins.Rs2]; !ok {
-				vs = append(vs, Violation{Rule: RuleDefBeforeUse, Index: i,
-					Detail: fmt.Sprintf("%s read before any definition", ins.Rs2)})
-			}
+		if sh.rs2 && ins.Rs2.IsVirtual() && !defined[ins.Rs2] {
+			vs = append(vs, Violation{Rule: RuleDefBeforeUse, Index: i,
+				Detail: fmt.Sprintf("%s read before any definition", ins.Rs2)})
 		}
 		if sh.rd && ins.Rd.IsVirtual() {
 			// StoreX and Store read their "destination" field; everything
 			// else writes it.
 			if ins.Op == ir.OpcStoreX {
-				if _, ok := vregDef[ins.Rd]; !ok {
+				if !defined[ins.Rd] {
 					vs = append(vs, Violation{Rule: RuleDefBeforeUse, Index: i,
 						Detail: fmt.Sprintf("%s read before any definition", ins.Rd)})
 				}
-			} else if _, ok := vregDef[ins.Rd]; !ok {
-				vregDef[ins.Rd] = i
+			} else {
+				defined[ins.Rd] = true
 			}
 		}
 	}
@@ -297,16 +374,16 @@ func (o Options) verifyStructural(fn *ir.Fn) []Violation {
 // reachable conditional jump accepts every input on its single path, so
 // its stub is legitimately dead; once the code discriminates inputs, a
 // reachable stub is mandatory.
-func (o Options) verifyDeopt(fn *ir.Fn, a *analysis) []Violation {
+func (o Options) verifyDeopt(fn *ir.Fn, points []point) []Violation {
 	present, reachable, guarded := false, false, false
 	for i, ins := range fn.Instrs {
 		if ins.Op == ir.OpcBrk && ins.Imm == o.DeoptBrkID {
 			present = true
-			if a.reached[i] {
+			if points[i].reached() {
 				reachable = true
 			}
 		}
-		if ins.IsJump() && ins.Op != ir.OpcJmp && a.reached[i] {
+		if ins.IsJump() && ins.Op != ir.OpcJmp && points[i].reached() {
 			guarded = true
 		}
 	}
@@ -337,8 +414,24 @@ func deadRegionEnd(instrs []ir.Instr, i int) (int, bool) {
 	return i, false
 }
 
-func checkShape(i int, ins ir.Instr, sh shape) []Violation {
-	var vs []Violation
+// wellShaped is checkShape's fast path: it reports whether ins carries
+// exactly the operand fields sh reads, each register in range, so a
+// well-formed instruction costs no closures and no formatting.
+func wellShaped(ins ir.Instr, sh shape) bool {
+	return regShaped(ins.Rd, sh.rd) && regShaped(ins.Rs1, sh.rs1) && regShaped(ins.Rs2, sh.rs2) &&
+		(sh.imm || ins.Imm == 0) && sh.sym == (ins.Sym != "")
+}
+
+func regShaped(r ir.Reg, used bool) bool {
+	if used {
+		return r < ir.NumPhysRegs || r.IsVirtual()
+	}
+	return r == 0
+}
+
+// checkShape appends the opcode-shape and register-range violations of
+// an instruction wellShaped rejected.
+func checkShape(vs []Violation, i int, ins ir.Instr, sh shape) []Violation {
 	bad := func(field string, detail string) {
 		vs = append(vs, Violation{Rule: RuleOpcodeShape, Index: i,
 			Detail: fmt.Sprintf("%s: %s %s", ins.Op, field, detail)})

@@ -11,17 +11,32 @@ type Assembler struct {
 	base   int64 // address of the first instruction
 	instrs []Instr
 	labels map[string]int64
-	// fixups maps instruction index -> label whose address patches Imm.
-	fixups map[int]string
+	// fixups lists the label references in emission order, so Finish
+	// resolves them, and reports the first undefined one, in that order.
+	fixups []fixup
 	errs   []error
+}
+
+// fixup is one label reference: the label's address patches the Imm of
+// the instruction at index.
+type fixup struct {
+	index int
+	label string
 }
 
 // NewAssembler starts a program at the given base address.
 func NewAssembler(base int64) *Assembler {
+	return newAssembler(base, 0, 0, 0)
+}
+
+// newAssembler is NewAssembler presized for a program of about instrs
+// instructions, labels labels and jumps label references.
+func newAssembler(base int64, instrs, labels, jumps int) *Assembler {
 	return &Assembler{
 		base:   base,
-		labels: make(map[string]int64),
-		fixups: make(map[int]string),
+		instrs: make([]Instr, 0, instrs),
+		labels: make(map[string]int64, labels),
+		fixups: make([]fixup, 0, jumps),
 	}
 }
 
@@ -46,7 +61,7 @@ func (a *Assembler) Label(name string) *Assembler {
 // EmitToLabel appends a control-flow instruction whose Imm is patched to
 // the label's address at Finish.
 func (a *Assembler) EmitToLabel(i Instr, label string) *Assembler {
-	a.fixups[len(a.instrs)] = label
+	a.fixups = append(a.fixups, fixup{len(a.instrs), label})
 	a.instrs = append(a.instrs, i)
 	return a
 }
@@ -97,12 +112,12 @@ func (a *Assembler) Finish() (*Program, error) {
 	}
 	out := a.instrs
 	a.instrs = nil
-	for idx, label := range a.fixups {
-		addr, ok := a.labels[label]
+	for _, f := range a.fixups {
+		addr, ok := a.labels[f.label]
 		if !ok {
-			return nil, fmt.Errorf("asm: undefined label %q", label)
+			return nil, fmt.Errorf("asm: undefined label %q", f.label)
 		}
-		out[idx].Imm = addr
+		out[f.index].Imm = addr
 	}
 	return &Program{Base: a.base, Instrs: out}, nil
 }

@@ -40,9 +40,10 @@ func needsImm(op Opc) bool {
 	return false
 }
 
-// Encode serializes a program in the given ISA's byte format.
+// Encode serializes a program in the given ISA's byte format into one
+// exactly sized buffer.
 func Encode(p *Program, isa ISA) ([]byte, error) {
-	var out []byte
+	out := make([]byte, 0, encodedLen(p, isa))
 	for _, ins := range p.Instrs {
 		regs := byte(ins.Rd)<<4 | byte(ins.Rs1)
 		switch isa {
@@ -73,6 +74,27 @@ func Encode(p *Program, isa ISA) ([]byte, error) {
 		}
 	}
 	return out, nil
+}
+
+// encodedLen is the size of p's encoding: 8 bytes per instruction on
+// the fixed-width ISA; opcode, registers and the immediate's width byte
+// plus 1 or 8 immediate bytes on the variable-length one.
+func encodedLen(p *Program, isa ISA) int {
+	if isa != ISAAmd64Like {
+		return 8 * len(p.Instrs)
+	}
+	n := 0
+	for _, ins := range p.Instrs {
+		n += 3
+		if needsImm(ins.Op) {
+			if ins.Imm >= -128 && ins.Imm <= 127 {
+				n += 2
+			} else {
+				n += 9
+			}
+		}
+	}
+	return n
 }
 
 // Decode deserializes machine code back into a program (the simulation's

@@ -259,6 +259,22 @@ func TestUndefinedLabelFails(t *testing.T) {
 	}
 }
 
+// TestUndefinedLabelsResolveInEmissionOrder pins Finish's error to the
+// first undefined label the program references, not whichever one a map
+// iteration happened to reach first.
+func TestUndefinedLabelsResolveInEmissionOrder(t *testing.T) {
+	for i := 0; i < 50; i++ {
+		a := NewAssembler(CodeBase)
+		a.Jump(OpcJmp, "first")
+		a.Label("ok").Jump(OpcJeq, "ok")
+		a.Jump(OpcJne, "second")
+		_, err := a.Finish()
+		if err == nil || err.Error() != `asm: undefined label "first"` {
+			t.Fatalf("run %d: got %v, want the first undefined label in emission order", i, err)
+		}
+	}
+}
+
 func TestDuplicateLabelFails(t *testing.T) {
 	a := NewAssembler(CodeBase)
 	a.Label("x").Label("x")
