@@ -8,7 +8,7 @@
 
 GO ?= go
 
-.PHONY: all build vet lint test test-short test-race bench bench-go perf-smoke fuzz fuzz-smoke blame-smoke metacompile-smoke metrics-smoke serve-smoke verify-smoke fmt-check golden-update ci
+.PHONY: all build vet lint test test-short test-race bench-go fuzz fuzz-smoke blame-smoke metacompile-smoke metrics-smoke serve-smoke verify-smoke fmt-check golden-update ci
 
 all: build vet test
 
@@ -41,35 +41,10 @@ test-short:
 test-race:
 	$(GO) test -race -short ./...
 
-# Perf trajectory: export machine-readable benchmark records for the
-# campaign, fuzzing and serving engines. CI uploads BENCH_*.json as artifacts so the history of
-# every change is comparable. The -baseline flags carry the committed
-# pre-overhaul baselineNsPerOp forward into the regenerated records, so
-# the perf-smoke gate never silently re-baselines itself.
-bench:
-	$(GO) run ./cmd/cogdiff bench-export -baseline BENCH_campaign.json -out BENCH_campaign.json campaign
-	$(GO) run ./cmd/cogdiff bench-export -baseline BENCH_fuzz.json -out BENCH_fuzz.json fuzz
-	$(GO) run ./cmd/cogdiff bench-export -out BENCH_serve.json serve
-	$(GO) run ./cmd/cogdiff bench-export -lint BENCH_campaign.json BENCH_fuzz.json BENCH_serve.json
-
-# The Go-native microbenchmarks.
+# The Go-native microbenchmarks. End-to-end performance (campaign, fuzz
+# and served jobs in fresh processes) is measured by `bash _perfbench/run.sh`.
 bench-go:
 	$(GO) test -bench=. -benchmem -run '^$$' .
-
-# Raw-speed gate for the execution-core overhaul: re-measure the serial
-# campaign on this machine and hold it to at least a 5x wall-clock
-# speedup over the pre-overhaul baseline carried in the committed
-# BENCH_campaign.json. GOMAXPROCS=1 matches how the baseline was
-# captured, so parallelism can't mask a regression.
-perf-smoke:
-	rm -rf perf-smoke.tmp
-	mkdir -p perf-smoke.tmp
-	$(GO) build -o perf-smoke.tmp/cogdiff ./cmd/cogdiff
-	GOMAXPROCS=1 perf-smoke.tmp/cogdiff bench-export -workers 1 \
-		-baseline BENCH_campaign.json -min-baseline-speedup 5 \
-		-out perf-smoke.tmp/BENCH_campaign.json campaign
-	perf-smoke.tmp/cogdiff bench-export -lint perf-smoke.tmp/BENCH_campaign.json
-	rm -rf perf-smoke.tmp
 
 # Explore random byte-code sequences across all three compilers and both
 # ISAs (30s smoke run; raise -fuzztime for a real session).
@@ -150,12 +125,10 @@ serve-smoke:
 # Static-verification smoke test, observed end to end from the CLI:
 # the compile-only sweep must verify the whole catalog clean at 1 and 4
 # workers with byte-identical reports, the seeded stack-leak defect must
-# be rejected statically with blame on the guilty pass, the campaign
+# be rejected statically with blame on the guilty pass, and the campaign
 # report must be byte-identical with the verifier on and off (the
-# verifier observes, never shapes), and a fresh serial campaign must run
-# no more full verifier analyses than the committed BENCH_campaign.json
-# records (a deterministic work counter: it rises when the verified-clean
-# cache stops answering repeated stages).
+# verifier observes, never shapes). The verifier's work count is gated by
+# `go test` (TestCampaignVerifierAnalyses in internal/jit).
 verify-smoke:
 	rm -rf verify-smoke.tmp
 	mkdir -p verify-smoke.tmp
@@ -170,9 +143,6 @@ verify-smoke:
 	verify-smoke.tmp/cogdiff campaign -workers 1 -stable > verify-smoke.tmp/on.txt
 	verify-smoke.tmp/cogdiff campaign -workers 1 -stable -no-verify > verify-smoke.tmp/off.txt
 	cmp verify-smoke.tmp/on.txt verify-smoke.tmp/off.txt
-	verify-smoke.tmp/cogdiff bench-export -iterations 1 -workers 1 -gate-verifier-analyses \
-		-baseline BENCH_campaign.json -out verify-smoke.tmp/BENCH_campaign.json campaign
-	verify-smoke.tmp/cogdiff bench-export -lint verify-smoke.tmp/BENCH_campaign.json
 	rm -rf verify-smoke.tmp
 
 fmt-check:
@@ -183,4 +153,4 @@ fmt-check:
 golden-update:
 	$(GO) test ./cmd/cogdiff/ -run TestGolden -update
 
-ci: build vet lint fmt-check test test-race fuzz-smoke blame-smoke metacompile-smoke metrics-smoke perf-smoke serve-smoke verify-smoke
+ci: build vet lint fmt-check test test-race fuzz-smoke blame-smoke metacompile-smoke metrics-smoke serve-smoke verify-smoke

@@ -29,9 +29,6 @@
 //	cogdiff submit campaign|difftest|fuzz
 //	                                     submit a job to a running server and
 //	                                     print its report
-//	cogdiff bench-export campaign|fuzz|serve
-//	                                     measure a campaign, fuzz or served run and
-//	                                     emit a machine-readable BENCH_*.json record
 //	cogdiff metrics-lint <file>          validate a Prometheus metrics snapshot
 //
 // Campaign commands shard their work over -workers goroutines (default:
@@ -78,6 +75,10 @@ func run(argv []string, stdout, stderr io.Writer) int {
 	}
 	switch cmd {
 	case "instructions":
+		if len(args) != 0 {
+			usage(stderr)
+			return 2
+		}
 		for _, name := range cogdiff.Instructions() {
 			fmt.Fprintln(stdout, name)
 		}
@@ -109,6 +110,10 @@ func run(argv []string, stdout, stderr io.Writer) int {
 		}
 		fmt.Fprint(stdout, out)
 	case "table1":
+		if len(args) != 0 {
+			usage(stderr)
+			return 2
+		}
 		out, err := cogdiff.ExploreReport("primAdd")
 		if err != nil {
 			return fail(err)
@@ -365,8 +370,6 @@ func run(argv []string, stdout, stderr io.Writer) int {
 		return runServe(args, stdout, stderr)
 	case "submit":
 		return runSubmit(args, stdout, stderr)
-	case "bench-export":
-		return runBenchExport(args, stdout, stderr)
 	case "metrics-lint":
 		if len(args) != 1 {
 			usage(stderr)
@@ -532,7 +535,8 @@ func usage(w io.Writer) {
   cogdiff verify-ir [-pristine] [-defect-verify-stackleak] [-compilers spec]
                [-workers n]    (statically verify the catalog, execute nothing;
                exits 1 on any violation)
-  cogdiff table1|table2|table3|fig5|fig6|fig7 [-workers n] [-compilers spec]
+  cogdiff table1
+  cogdiff table2|table3|fig5|fig6|fig7 [-workers n] [-compilers spec]
   cogdiff serve [-addr host:port] [-workers n] [-max-jobs n]
                [-corpus-dir dir]
   cogdiff submit [-addr url] [-poll dur] [-connect-timeout dur] [-progress]
@@ -540,10 +544,6 @@ func usage(w io.Writer) {
   cogdiff fuzz [-seed n] [-budget n|30s] [-workers n] [-compilers spec]
                [-corpus file.json] [-seed-corpus dir] [-minimize]
                [-emit-tests file_test.go] [-progress]
-  cogdiff bench-export [-iterations n] [-workers n] [-baseline file.json]
-               [-min-baseline-speedup x] [-gate-verifier-analyses]
-               [-out file.json] campaign|fuzz|serve
-  cogdiff bench-export -lint file.json...
   cogdiff metrics-lint <metrics.prom>
 
 compiler sets (campaign, table*/fig*, fuzz):

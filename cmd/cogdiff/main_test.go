@@ -233,8 +233,20 @@ func TestCLIUsageErrors(t *testing.T) {
 	if code := run(nil, &stdout, &stderr); code != 2 {
 		t.Errorf("no arguments: exit %d, want 2", code)
 	}
-	if code := run([]string{"bogus"}, &stdout, &stderr); code != 2 {
-		t.Errorf("unknown command: exit %d, want 2", code)
+	// Unknown verbs, and any argument to the verbs that take none, get
+	// usage and exit 2 instead of a report the arguments did not shape.
+	for _, args := range [][]string{
+		{"bogus"},
+		{"bench-export", "campaign"},
+		{"table1", "-workers", "-3"},
+		{"table1", "-compilers", "bogus"},
+		{"instructions", "extra"},
+	} {
+		stdout.Reset()
+		stderr.Reset()
+		if code := run(args, &stdout, &stderr); code != 2 || stdout.Len() != 0 || !bytes.Contains(stderr.Bytes(), []byte("usage:")) {
+			t.Errorf("cogdiff %v: exit %d, %d bytes of report, stderr %q; want exit 2 with usage", args, code, stdout.Len(), stderr.String())
+		}
 	}
 	if code := run([]string{"explore", "noSuchInstruction"}, &stdout, &stderr); code != 1 {
 		t.Errorf("unknown instruction: exit %d, want 1", code)

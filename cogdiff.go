@@ -491,15 +491,6 @@ type CampaignSummary struct {
 	Duration time.Duration
 }
 
-// MeasurePerPathAllocs measures the execution core's per-path allocation
-// cost on this machine: warm is the steady state of a batched unit run
-// (pooled environments, shared interpreter reference), fresh is the same
-// work with every reuse layer disabled — boot-per-execution and a
-// reference recomputed per call. bench-export records both.
-func MeasurePerPathAllocs() (warm, fresh float64) {
-	return core.MeasurePerPathAllocs(false), core.MeasurePerPathAllocs(true)
-}
-
 // StableReport concatenates the report surfaces that are pure functions
 // of the campaign configuration: Table 2, Table 3, Figure 5 and the
 // deduplicated cause table. Figures 6/7 embed wall-clock timings and are

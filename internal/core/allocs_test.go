@@ -19,19 +19,54 @@ import (
 	"cogdiff/internal/primitives"
 )
 
-// TestPerPathAllocsWarm gates the steady-state cost: ~110 allocs/path
-// at the time of writing, most of them the per-path compile. The bound
-// leaves room for noise, not for a reintroduced per-path environment
-// boot (~170).
+// measurePerPathAllocs reports the average Go allocations per path test
+// of a representative explored unit (OpPrimAdd: float and integer paths,
+// differing and agreeing verdicts) in one reuse configuration: noReuse
+// boots a fresh environment per execution, and oneShot goes through the
+// one-shot Tester.TestPath wrapper, which recomputes the interpreter
+// reference on every call instead of sharing it across the path's ISAs.
+// With both false it measures the steady state of one UnitRun.
+func measurePerPathAllocs(noReuse, oneShot bool) float64 {
+	prims := primitives.NewTable()
+	explorer := concolic.NewExplorer(prims, concolic.DefaultOptions())
+	target := concolic.BytecodeTarget(bytecode.OpPrimAdd)
+	ex := explorer.Explore(target)
+	tester := NewTester(prims, defects.ProductionVM())
+	if noReuse {
+		tester.SetNoReuse()
+	}
+	isas := []machine.ISA{machine.ISAAmd64Like, machine.ISAArm32Like}
+	run := tester.BeginUnit(target, ex)
+	defer run.Close()
+	testAll := func() {
+		for _, p := range ex.Paths {
+			for _, isa := range isas {
+				if oneShot {
+					tester.TestPath(target, ex, p, SimpleBytecodeCompiler, isa)
+				} else {
+					run.TestPath(p, SimpleBytecodeCompiler, isa)
+				}
+			}
+		}
+	}
+	testAll() // warm the pools and the reference
+	per := testing.AllocsPerRun(20, testAll)
+	return per / float64(len(ex.Paths)*len(isas))
+}
+
+// TestPerPathAllocsWarm gates the steady-state cost: ~61 allocs/path
+// at the time of writing (~77 under -race), most of them the per-path
+// compile. The bound leaves room for noise, not for a reintroduced
+// per-path environment boot (~122).
 func TestPerPathAllocsWarm(t *testing.T) {
-	if warm := MeasurePerPathAllocs(false); warm > 135 {
-		t.Fatalf("warm per-path allocs = %.1f, want <= 135", warm)
+	if warm := measurePerPathAllocs(false, false); warm > 100 {
+		t.Fatalf("warm per-path allocs = %.1f, want <= 100", warm)
 	}
 }
 
 // TestPerPathAllocsReduction gates what each reuse layer saves against
 // the same batched run without it: pooled environments ~60 allocs/path
-// over booting one per execution, the shared interpreter reference ~7
+// over booting one per execution, the shared interpreter reference ~29
 // over recomputing it for every ISA.
 func TestPerPathAllocsReduction(t *testing.T) {
 	warm := measurePerPathAllocs(false, false)

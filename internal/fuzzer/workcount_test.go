@@ -32,7 +32,7 @@ func TestFuzzOptimizesOncePerSequenceAndCompiler(t *testing.T) {
 		execs += d.ReduceExecs
 	}
 	compilers := len(newEngine(Options{}).compilers)
-	pipeline := len(jit.PipelineFor(jit.StackToRegisterCogit, defects.ProductionVM()))
+	pipeline := len(jit.Pipeline(defects.ProductionVM()))
 	bound := int64(pipeline * compilers * execs)
 	if got := reg.Counter(telemetry.MetricPassesRun).Value(); got > bound {
 		t.Fatalf("%d passes run, want at most %d (%d passes x %d compilers x %d executions)",

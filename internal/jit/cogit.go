@@ -320,12 +320,12 @@ func (c *Cogit) pool() []machine.Reg {
 }
 
 // finish runs the shared Backend over the built IR: verify the
-// front-end's output, run and verify the variant's pass pipeline, report
+// front-end's output, run and verify the pass pipeline, report
 // the post-pipeline opcodes to the coverage hook, and retain every stage
 // together with the literal boxes the front-end allocated.
 func (c *Cogit) finish() (*Stages, error) {
 	bk := &Backend{
-		Passes:   PipelineFor(c.Variant, c.Defects),
+		Passes:   Pipeline(c.Defects),
 		Metrics:  c.Metrics,
 		OnIR:     c.OnIR,
 		Pool:     c.pool(),

@@ -24,7 +24,7 @@ type PassMetrics struct {
 
 // NewPassMetrics resolves the pipeline instruments against reg: a
 // units-compiled counter, a passes-run counter, and one latency
-// histogram per distinct pass name across every variant's pipeline.
+// histogram per pass of the pipeline.
 // Returns nil (a valid no-op) for a nil registry.
 func NewPassMetrics(reg *telemetry.Registry, sw defects.Switches) *PassMetrics {
 	if reg == nil {
@@ -39,13 +39,9 @@ func NewPassMetrics(reg *telemetry.Registry, sw defects.Switches) *PassMetrics {
 		verifyViolations: reg.Counter(telemetry.MetricIRVerifyViolations),
 		verifySeconds:    reg.Histogram(telemetry.MetricIRVerifySeconds, telemetry.DurationBuckets),
 	}
-	for _, v := range []Variant{SimpleStackBasedCogit, StackToRegisterCogit, RegisterAllocatingCogit, MetaJITCogit} {
-		for _, p := range PipelineFor(v, sw) {
-			if _, ok := m.perPass[p.Name]; !ok {
-				m.perPass[p.Name] = reg.LabeledHistogram(
-					telemetry.MetricPassSeconds, telemetry.DurationBuckets, "pass", p.Name)
-			}
-		}
+	for _, p := range Pipeline(sw) {
+		m.perPass[p.Name] = reg.LabeledHistogram(
+			telemetry.MetricPassSeconds, telemetry.DurationBuckets, "pass", p.Name)
 	}
 	return m
 }

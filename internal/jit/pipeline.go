@@ -5,36 +5,19 @@ import (
 	"cogdiff/internal/ir"
 )
 
-// The pass pipeline table: each byte-code variant registers the pass
-// constructors it runs between its front-end and lowering. Constructors
-// take the defect switches so pass-targeted defects (the deliberately
-// unsound constant fold) can be injected per campaign configuration.
+// Pipeline instantiates the pass pipeline every byte-code compiler runs
+// between its front-end and lowering; the native method compiler
+// runs none (its templates are already shaped). The defect switches let
+// pass-targeted defects (the deliberately unsound constant fold, the
+// peephole stack leak) be injected per campaign configuration.
 //
-// All three byte-code variants currently share one pipeline; the native
-// method compiler runs none (its templates are already shaped). Order
-// matters: dead-push/pop elimination first turns the simple variant's
-// materialize-and-reload traffic into register moves that constant
-// folding can then see through.
-var pipelineTable = map[Variant][]func(defects.Switches) ir.Pass{
-	SimpleStackBasedCogit:   standardPasses,
-	StackToRegisterCogit:    standardPasses,
-	RegisterAllocatingCogit: standardPasses,
-	MetaJITCogit:            standardPasses,
-}
-
-var standardPasses = []func(defects.Switches) ir.Pass{
-	func(defects.Switches) ir.Pass { return ir.DeadPushPop() },
-	func(sw defects.Switches) ir.Pass { return ir.ConstFold(sw.ConstFoldSignError) },
-	func(sw defects.Switches) ir.Pass { return ir.Peephole(sw.VerifyStackLeak) },
-}
-
-// PipelineFor instantiates the variant's registered pass pipeline under
-// the given defect switches.
-func PipelineFor(v Variant, sw defects.Switches) []ir.Pass {
-	ctors := pipelineTable[v]
-	passes := make([]ir.Pass, 0, len(ctors))
-	for _, mk := range ctors {
-		passes = append(passes, mk(sw))
+// Order matters: dead-push/pop elimination first turns the simple
+// variant's materialize-and-reload traffic into register moves that
+// constant folding can then see through.
+func Pipeline(sw defects.Switches) []ir.Pass {
+	return []ir.Pass{
+		ir.DeadPushPop(),
+		ir.ConstFold(sw.ConstFoldSignError),
+		ir.Peephole(sw.VerifyStackLeak),
 	}
-	return passes
 }

@@ -30,11 +30,11 @@ type verifyKey struct {
 }
 
 // verifyCacheLimit bounds the clean-verdict set; at ~80 bytes per entry
-// the full cache stays under a few megabytes. The bound comfortably
-// holds every stage pair of a whole-catalog campaign (tens of
-// thousands), because a reset mid-campaign would put cold-miss analyze
-// cost back on the steady-state path. Reaching the limit resets the
-// cache (correctness is unaffected — entries only save work).
+// the full cache stays under a few megabytes. A whole-catalog campaign
+// verifies 4552 stages but fills only 574 entries, one per novel stage
+// pair, so the bound leaves room for the novel pairs that fuzzed
+// sequences and a long-lived server accumulate. Reaching the limit
+// resets the cache (correctness is unaffected — entries only save work).
 const verifyCacheLimit = 1 << 16
 
 var verifyCache = struct {

@@ -75,7 +75,7 @@ func (c *Compiler) finish(l *lowerer, heapBase int) (*jit.Stages, error) {
 		return nil, l.err
 	}
 	bk := &jit.Backend{
-		Passes:  jit.PipelineFor(jit.MetaJITCogit, c.Defects),
+		Passes:  jit.Pipeline(c.Defects),
 		Metrics: c.Metrics,
 		OnIR:    c.OnIR,
 		// The generated front-end works on physical registers only; the

@@ -2,6 +2,7 @@ package server
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -12,6 +13,23 @@ import (
 
 // maxBodyBytes bounds request bodies (job specs, corpus uploads).
 const maxBodyBytes = 8 << 20
+
+// readBody reads a request body of at most maxBodyBytes. A longer body
+// is refused whole with 413 instead of being cut to a prefix that might
+// still parse. ok is false once the error response has been written.
+func readBody(w http.ResponseWriter, r *http.Request) (body []byte, ok bool) {
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	if err != nil {
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			writeError(w, http.StatusRequestEntityTooLarge, fmt.Sprintf("request body exceeds %d bytes", maxBodyBytes))
+		} else {
+			writeError(w, http.StatusBadRequest, fmt.Sprintf("read body: %v", err))
+		}
+		return nil, false
+	}
+	return body, true
+}
 
 // errorBody is the JSON error envelope every non-2xx response carries.
 type errorBody struct {
@@ -78,9 +96,8 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(io.LimitReader(r.Body, maxBodyBytes))
-	if err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Sprintf("read body: %v", err))
+	body, ok := readBody(w, r)
+	if !ok {
 		return
 	}
 	var spec JobSpec
@@ -141,9 +158,8 @@ type corpusPutResult struct {
 }
 
 func (s *Server) handleCorpusPut(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(io.LimitReader(r.Body, maxBodyBytes))
-	if err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Sprintf("read body: %v", err))
+	body, ok := readBody(w, r)
+	if !ok {
 		return
 	}
 	seqs, err := fuzzer.UnmarshalCorpus(body)
