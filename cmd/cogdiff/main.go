@@ -35,8 +35,8 @@
 // GOMAXPROCS); every table and figure is byte-identical for any worker
 // count.
 //
-// The campaign, table/figure, difftest and fuzz verbs share the
-// observability flags -metrics <file>, -metrics-format json|prom,
+// The campaign, table/figure, difftest, verify-ir and fuzz verbs share
+// the observability flags -metrics <file>, -metrics-format json|prom,
 // -trace <file> and -profile <file>. Telemetry is pure with respect to
 // results: all printed reports are byte-identical with it on or off.
 package main
@@ -527,16 +527,19 @@ func usage(w io.Writer) {
   cogdiff instructions
   cogdiff explore [-o cache.json] <instruction>
   cogdiff difftest [-cache-file cache.json] [-pristine] [-defect-constfold]
-                   [-defect-metajit-guard] [-dump-ir stdout|file] <instruction> <compiler>
+               [-defect-metajit-guard] [-defect-verify-stackleak] [-no-verify]
+               [-dump-ir stdout|file] <instruction> <compiler>
   cogdiff ir <instruction> <compiler>
-  cogdiff campaign [-pristine] [-defect-constfold] [-defect-metajit-guard]
-               [-defect-verify-stackleak] [-no-verify]
+  cogdiff campaign|table2|table3|fig5|fig6|fig7 [-pristine] [-defect-constfold]
+               [-defect-metajit-guard] [-defect-verify-stackleak] [-no-verify]
                [-compilers spec] [-workers n] [-stable] [-progress]
-  cogdiff verify-ir [-pristine] [-defect-verify-stackleak] [-compilers spec]
-               [-workers n]    (statically verify the catalog, execute nothing;
-               exits 1 on any violation)
+               (campaign prints every table and figure, or with -stable
+               only the deterministic ones; the others print one artifact)
+  cogdiff verify-ir [-pristine] [-defect-constfold] [-defect-metajit-guard]
+               [-defect-verify-stackleak] [-compilers spec] [-workers n]
+               (statically verify the catalog, execute nothing; exits 1
+               on any violation)
   cogdiff table1
-  cogdiff table2|table3|fig5|fig6|fig7 [-workers n] [-compilers spec]
   cogdiff serve [-addr host:port] [-workers n] [-max-jobs n]
                [-corpus-dir dir]
   cogdiff submit [-addr url] [-poll dur] [-connect-timeout dur] [-progress]
@@ -546,12 +549,12 @@ func usage(w io.Writer) {
                [-emit-tests file_test.go] [-progress]
   cogdiff metrics-lint <metrics.prom>
 
-compiler sets (campaign, table*/fig*, fuzz):
+compiler sets (campaign, table*/fig*, verify-ir, fuzz):
   -compilers spec       comma-separated compiler names for an exact set, or
                         +name additions to the default set; "+metajit" adds
                         the meta-compiled front-end to the default compilers
 
-observability (campaign, table*/fig*, difftest, fuzz):
+observability (campaign, table*/fig*, difftest, verify-ir, fuzz):
   -metrics file         write a metrics snapshot after the run
   -metrics-format fmt   snapshot format: prom (default) or json
   -trace file           write the recent-span trace as JSON

@@ -12,6 +12,8 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"regexp"
+	"strings"
 	"testing"
 
 	"cogdiff/internal/telemetry"
@@ -248,8 +250,24 @@ func TestCLIUsageErrors(t *testing.T) {
 			t.Errorf("cogdiff %v: exit %d, %d bytes of report, stderr %q; want exit 2 with usage", args, code, stdout.Len(), stderr.String())
 		}
 	}
-	if code := run([]string{"explore", "noSuchInstruction"}, &stdout, &stderr); code != 1 {
-		t.Errorf("unknown instruction: exit %d, want 1", code)
+	// Errors from the library reach stderr with exactly one "cogdiff:"
+	// prefix and exit 1.
+	for _, c := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"explore", "noSuchInstruction"}, `cogdiff: unknown instruction "noSuchInstruction" (see Instructions())`},
+		{[]string{"difftest", "noSuchInstruction", "simple"}, `cogdiff: unknown instruction "noSuchInstruction" (see Instructions())`},
+		{[]string{"difftest", "primAdd", "stacktoreg"}, `cogdiff: unknown compiler "stacktoreg"`},
+		{[]string{"campaign", "-compilers", "simple,+metajit"}, `cogdiff: compiler spec "simple,+metajit" mixes additions (+name) with an exact list`},
+		{[]string{"fuzz", "-compilers", "native"}, `cogdiff: the native compiler does not compile sequences`},
+		{[]string{"fuzz", "-compilers", "+native"}, `cogdiff: the native compiler does not compile sequences`},
+	} {
+		stdout.Reset()
+		stderr.Reset()
+		if code := run(c.args, &stdout, &stderr); code != 1 || stderr.String() != c.want+"\n" {
+			t.Errorf("cogdiff %v: exit %d, stderr %q; want exit 1, stderr %q", c.args, code, stderr.String(), c.want+"\n")
+		}
 	}
 }
 
@@ -276,4 +294,87 @@ func TestGoldenCampaignProgressLine(t *testing.T) {
 	reg.Counter(telemetry.MetricDifferences).Add(7)
 	reg.Counter(telemetry.MetricPanicsContained).Add(1)
 	checkGolden(t, "progress_campaign.golden", renderCampaignProgress(reg.Snapshot())+"\n")
+}
+
+// TestUsageListsEveryFlag runs every verb that parses flags with -h and
+// checks that each flag its FlagSet prints is documented for that verb in
+// usage(): on the verb's own lines or in a shared section (compiler sets,
+// observability) whose header names the verb.
+func TestUsageListsEveryFlag(t *testing.T) {
+	var buf bytes.Buffer
+	usage(&buf)
+	docs := usageByVerb(buf.String())
+	flagName := regexp.MustCompile(`(?m)^  -([a-z][a-z0-9-]*)`)
+	documented := regexp.MustCompile(`(?:^|[\s\[])-([a-z][a-z0-9-]*)`)
+	verbs := []string{"explore", "difftest", "campaign", "table2", "table3", "fig5", "fig6", "fig7",
+		"verify-ir", "fuzz", "serve", "submit"}
+	for _, verb := range verbs {
+		var stdout, stderr bytes.Buffer
+		if code := run([]string{verb, "-h"}, &stdout, &stderr); code != 2 {
+			t.Errorf("cogdiff %s -h: exit %d, want 2", verb, code)
+		}
+		flags := flagName.FindAllStringSubmatch(stderr.String(), -1)
+		if len(flags) == 0 {
+			t.Errorf("cogdiff %s -h printed no flags:\n%s", verb, stderr.String())
+		}
+		listed := map[string]bool{}
+		for _, m := range documented.FindAllStringSubmatch(docs(verb), -1) {
+			listed[m[1]] = true
+		}
+		for _, f := range flags {
+			if !listed[f[1]] {
+				t.Errorf("cogdiff %s accepts -%s, but usage does not list it for %s", verb, f[1], verb)
+			}
+		}
+	}
+}
+
+// usageByVerb splits usage text into the lines documenting each verb: a
+// verb's own entry ("  cogdiff a|b ..." and its indented continuation
+// lines) plus every section whose header "name (v1, v2*, ...):" names it,
+// where "table*" names every verb starting with "table".
+func usageByVerb(text string) func(verb string) string {
+	type block struct {
+		verbs []string
+		text  string
+	}
+	var blocks []block
+	for _, line := range strings.Split(text, "\n") {
+		switch {
+		case strings.HasPrefix(line, "  cogdiff "):
+			head := strings.Fields(line)[1]
+			blocks = append(blocks, block{verbs: strings.Split(head, "|"), text: line})
+		case strings.HasSuffix(line, "):") && strings.Contains(line, " ("):
+			list := line[strings.Index(line, " (")+2 : len(line)-2]
+			var verbs []string
+			for _, entry := range strings.Split(list, ", ") {
+				verbs = append(verbs, strings.Split(entry, "/")...)
+			}
+			blocks = append(blocks, block{verbs: verbs})
+		case strings.HasPrefix(line, "    ") && len(blocks) > 0:
+			blocks[len(blocks)-1].text += "\n" + line
+		case strings.HasPrefix(line, "  -") && len(blocks) > 0:
+			blocks[len(blocks)-1].text += "\n" + line
+		case line == "" && len(blocks) > 0:
+			blocks = append(blocks, block{})
+		}
+	}
+	names := func(pattern, verb string) bool {
+		if prefix, ok := strings.CutSuffix(pattern, "*"); ok {
+			return strings.HasPrefix(verb, prefix)
+		}
+		return pattern == verb
+	}
+	return func(verb string) string {
+		var out []string
+		for _, b := range blocks {
+			for _, v := range b.verbs {
+				if names(v, verb) {
+					out = append(out, b.text)
+					break
+				}
+			}
+		}
+		return strings.Join(out, "\n")
+	}
 }

@@ -88,7 +88,7 @@ func ParseSequenceCompilerSpec(spec string) ([]string, error) {
 	}
 	for _, name := range names {
 		if name == CompilerNativeMethods {
-			return nil, fmt.Errorf("cogdiff: the %s compiler does not compile sequences", CompilerNativeMethods)
+			return nil, fmt.Errorf("the %s compiler does not compile sequences", CompilerNativeMethods)
 		}
 	}
 	return names, nil
@@ -118,7 +118,7 @@ func parseCompilerSpecWith(defaults []string, spec string) ([]string, error) {
 		}
 	}
 	if len(exact) > 0 && len(added) > 0 {
-		return nil, fmt.Errorf("cogdiff: compiler spec %q mixes additions (+name) with an exact list", spec)
+		return nil, fmt.Errorf("compiler spec %q mixes additions (+name) with an exact list", spec)
 	}
 	out := exact
 	if len(added) > 0 {
@@ -195,7 +195,7 @@ func resolveTarget(name string) (concolic.Target, *primitives.Table, error) {
 			return concolic.NativeMethodTarget(p.Index, p.Name, p.NumArgs), prims, nil
 		}
 	}
-	return concolic.Target{}, nil, fmt.Errorf("cogdiff: unknown instruction %q (see Instructions())", name)
+	return concolic.Target{}, nil, fmt.Errorf("unknown instruction %q (see Instructions())", name)
 }
 
 // Instructions lists every testable VM instruction: all byte-codes
@@ -302,7 +302,7 @@ func compilerKindOf(name string) (core.CompilerKind, error) {
 	case CompilerMetaJIT:
 		return core.MetaJITCompiler, nil
 	}
-	return 0, fmt.Errorf("cogdiff: unknown compiler %q", name)
+	return 0, fmt.Errorf("unknown compiler %q", name)
 }
 
 // TestConfig selects the VM defect state for a single-instruction test.

@@ -15,8 +15,8 @@ import (
 //     the randomized iteration order becomes the output order. The
 //     repo-standard collect-keys-then-sort idiom ranges without
 //     emitting and passes; a fmt print call or Write* method inside the
-//     loop does not, and neither does returning a fmt.Errorf from it
-//     (the first failing key would be a random one).
+//     loop does not, and neither does returning a fmt.Errorf or
+//     fmt.Sprintf from it (the first failing key would be a random one).
 //
 // Test files are exempt. Production sites that are intentionally
 // nondeterministic — telemetry timings that never reach a report, the
@@ -84,9 +84,13 @@ var writeMethods = map[string]bool{
 	"Write": true, "WriteString": true, "WriteByte": true, "WriteRune": true,
 }
 
+// returnedFormats are the fmt functions whose result, returned from a
+// map-range body, carries the iteration order into an error or a message.
+var returnedFormats = map[string]bool{"Errorf": true, "Sprintf": true}
+
 // emitsInLoop reports whether the loop body emits output — an fmt print
-// call, a Write* method call or a returned fmt.Errorf — making iteration
-// order observable.
+// call, a Write* method call or a returned fmt.Errorf or fmt.Sprintf —
+// making iteration order observable.
 func emitsInLoop(info *types.Info, body *ast.BlockStmt) bool {
 	emits := false
 	ast.Inspect(body, func(n ast.Node) bool {
@@ -94,7 +98,7 @@ func emitsInLoop(info *types.Info, body *ast.BlockStmt) bool {
 			for _, r := range ret.Results {
 				if call, ok := ast.Unparen(r).(*ast.CallExpr); ok {
 					if fn := calleeFunc(info, call); fn != nil && fn.Pkg() != nil &&
-						fn.Pkg().Path() == "fmt" && fn.Name() == "Errorf" {
+						fn.Pkg().Path() == "fmt" && returnedFormats[fn.Name()] {
 						emits = true
 					}
 				}

@@ -65,6 +65,29 @@ func firstErrorInSortedOrder(m map[string]int) error {
 	return nil
 }
 
+func firstMessageInMapOrder(m map[int][]string, got map[int][]string) (bool, string) {
+	for k, v := range m { // want "map range emits output in iteration order"
+		if len(got[k]) != len(v) {
+			return true, fmt.Sprintf("object %d differs", k)
+		}
+	}
+	return false, ""
+}
+
+func firstMessageInSortedOrder(m map[int][]string, got map[int][]string) (bool, string) {
+	keys := make([]int, 0, len(m))
+	for k := range m { // collected, then sorted: not flagged
+		keys = append(keys, k)
+	}
+	sort.Ints(keys)
+	for _, k := range keys {
+		if len(got[k]) != len(m[k]) {
+			return true, fmt.Sprintf("object %d differs", k)
+		}
+	}
+	return false, ""
+}
+
 func sliceRange(xs []int) {
 	for _, x := range xs { // slices iterate in order: not flagged
 		fmt.Println(x)

@@ -17,12 +17,20 @@ type FrameBuilder struct {
 	U     *sym.Universe
 	Model *sym.Model
 
-	cache map[int]heap.Word // rep var ID -> materialized word
+	// cache holds the word materialized for each model representative, in
+	// materialization order. A frame has a handful of inputs, so a linear
+	// scan beats a map and its growth.
+	cache []materialized
+}
+
+type materialized struct {
+	rep int
+	w   heap.Word
 }
 
 // NewFrameBuilder prepares a builder over a fresh object memory.
 func NewFrameBuilder(om *heap.ObjectMemory, u *sym.Universe, model *sym.Model) *FrameBuilder {
-	return &FrameBuilder{OM: om, U: u, Model: model, cache: make(map[int]heap.Word)}
+	return &FrameBuilder{OM: om, U: u, Model: model, cache: make([]materialized, 0, 8)}
 }
 
 // ValueFor materializes the value of one input variable, carrying the
@@ -37,8 +45,10 @@ func (b *FrameBuilder) ValueFor(v *sym.Var) (interp.Value, error) {
 
 func (b *FrameBuilder) wordFor(v *sym.Var) (heap.Word, error) {
 	rep := b.Model.Rep(v.ID)
-	if w, ok := b.cache[rep]; ok {
-		return w, nil
+	for _, m := range b.cache {
+		if m.rep == rep {
+			return m.w, nil
+		}
 	}
 	tv, assigned := b.Model.ValueOf(v)
 	if !assigned {
@@ -50,7 +60,7 @@ func (b *FrameBuilder) wordFor(v *sym.Var) (heap.Word, error) {
 	if err != nil {
 		return 0, err
 	}
-	b.cache[rep] = w
+	b.cache = append(b.cache, materialized{rep, w})
 	return w, nil
 }
 
@@ -122,9 +132,9 @@ func (b *FrameBuilder) slotVarOf(owner *sym.Var, index int) (*sym.Var, bool) {
 // "the same input object" across independently built frames.
 func (b *FrameBuilder) InputObjects() map[heap.Word]int {
 	out := make(map[heap.Word]int, len(b.cache))
-	for rep, w := range b.cache {
-		if heap.IsObjectRef(w) {
-			out[w] = rep
+	for _, m := range b.cache {
+		if heap.IsObjectRef(m.w) {
+			out[m.w] = m.rep
 		}
 	}
 	return out

@@ -94,17 +94,6 @@ type workItem struct {
 	assumptions []sym.Constraint
 }
 
-func signatureOf(cs []sym.Constraint) string {
-	s := ""
-	for i, c := range cs {
-		if i > 0 {
-			s += "&"
-		}
-		s += c.String()
-	}
-	return s
-}
-
 // Explore discovers the execution paths of one instruction: the classic
 // concolic loop of §2.3, except it never stops at errors — every exit
 // condition is a first-class result.
@@ -116,6 +105,11 @@ func (e *Explorer) Explore(t Target) *Exploration {
 	worklist := []workItem{{}}
 	seenPaths := map[string]bool{}
 	tried := map[string]bool{"": true}
+	// sig holds the current path's signature and ends[i] the offset where
+	// its condition i ends, so every child key below is a prefix of sig
+	// plus one negated condition, rendered into key without a string.
+	var sig, key []byte
+	var ends []int
 
 	for len(worklist) > 0 && ex.Iterations < e.Opts.MaxIterations {
 		item := worklist[len(worklist)-1]
@@ -139,9 +133,16 @@ func (e *Explorer) Explore(t Target) *Exploration {
 			continue
 		}
 
-		sig := res.Path.Signature()
-		if !seenPaths[sig] {
-			seenPaths[sig] = true
+		sig, ends = sig[:0], ends[:0]
+		for i, c := range res.Path {
+			if i > 0 {
+				sig = append(sig, '&')
+			}
+			sig = sym.AppendConstraint(sig, c.C)
+			ends = append(ends, len(sig))
+		}
+		if !seenPaths[string(sig)] {
+			seenPaths[string(sig)] = true
 			if res.Exit.Kind == interp.ExitUnsupported {
 				ex.CuratedOut++
 			} else {
@@ -158,17 +159,26 @@ func (e *Explorer) Explore(t Target) *Exploration {
 		}
 
 		// Generational expansion: negate every recorded condition beyond
-		// the assumed prefix.
-		prefix := res.Path.Constraints()
-		for i := len(item.assumptions); i < len(prefix); i++ {
-			child := make([]sym.Constraint, 0, i+1)
-			child = append(child, prefix[:i]...)
-			child = append(child, sym.Negate(prefix[i]))
-			csig := signatureOf(child)
-			if !tried[csig] {
-				tried[csig] = true
-				worklist = append(worklist, workItem{assumptions: child})
+		// the assumed prefix. A child's key is the signature of its
+		// constraint list: the parent's first i conditions, then the
+		// negated condition i.
+		for i := len(item.assumptions); i < len(res.Path); i++ {
+			neg := sym.Negate(res.Path[i].C)
+			key = key[:0]
+			if i > 0 {
+				key = append(append(key, sig[:ends[i-1]]...), '&')
 			}
+			key = sym.AppendConstraint(key, neg)
+			if tried[string(key)] {
+				continue
+			}
+			tried[string(key)] = true
+			child := make([]sym.Constraint, i+1)
+			for j, c := range res.Path[:i] {
+				child[j] = c.C
+			}
+			child[i] = neg
+			worklist = append(worklist, workItem{assumptions: child})
 		}
 	}
 	ex.Duration = time.Since(start) //cogdiff:allow-nondeterminism exploration timing feeds telemetry histograms only

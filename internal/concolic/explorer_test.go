@@ -9,6 +9,7 @@ import (
 	"cogdiff/internal/interp"
 	"cogdiff/internal/primitives"
 	"cogdiff/internal/sym"
+	"cogdiff/internal/telemetry"
 )
 
 func explore(t *testing.T, target Target) *Exploration {
@@ -253,5 +254,30 @@ func TestExplorationDeterminism(t *testing.T) {
 		if a.Paths[i].Path.Signature() != b.Paths[i].Path.Signature() {
 			t.Fatalf("path %d signature differs", i)
 		}
+	}
+}
+
+// TestExploreAllocs gates the allocations of one whole exploration of
+// the add byte-code (11 paths, 25 solver calls). Path signatures and
+// child keys are rendered into reused buffers, and a child's constraint
+// list is allocated only when its key is new. It reads 1,573; with
+// fmt-built string keys it read 1,879, so a reintroduced formatted key
+// fails the 5% headroom. The solver-call count pins that the keys still
+// select exactly the same children.
+func TestExploreAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are gated without -race only")
+	}
+	reg := telemetry.NewRegistry()
+	opts := DefaultOptions()
+	opts.Metrics = reg
+	e := NewExplorer(primitives.NewTable(), opts)
+	target := BytecodeTarget(bytecode.OpPrimAdd)
+	ex := e.Explore(target)
+	if calls := reg.Snapshot().Counters[telemetry.MetricSolverCalls]; len(ex.Paths) != 11 || calls != 25 {
+		t.Fatalf("exploration of primAdd: %d paths and %d solver calls, want 11 and 25", len(ex.Paths), calls)
+	}
+	if allocs := testing.AllocsPerRun(10, func() { e.Explore(target) }); allocs > 1650 {
+		t.Errorf("Explore(primAdd) allocates %.0f times, want <= 1650", allocs)
 	}
 }

@@ -1,0 +1,5 @@
+//go:build !race
+
+package concolic
+
+const raceEnabled = false

@@ -372,7 +372,7 @@ func (c *Campaign) exploreOptions() concolic.Options {
 }
 
 func explorationKey(t concolic.Target) string {
-	return fmt.Sprintf("%s/%s", t.Kind, t.Name)
+	return t.Kind.String() + "/" + t.Name
 }
 
 // testInstruction runs every curated path of one instruction against one

@@ -10,7 +10,9 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -116,13 +118,22 @@ func CanonicalizeAll(om *heap.ObjectMemory, ws []heap.Word, inputs map[heap.Word
 	return out
 }
 
+// HeapEffect is the canonical body of one input object, keyed by the
+// model representative the object realizes.
+type HeapEffect struct {
+	Rep  int
+	Body []string
+}
+
 // HeapEffects canonicalizes the body of every input object, capturing the
 // side effects an instruction had on them (stores through at:put:,
-// instance-variable writes, FFI stores).
-func HeapEffects(om *heap.ObjectMemory, inputs map[heap.Word]int) map[int][]string {
-	out := make(map[int][]string, len(inputs))
+// instance-variable writes, FFI stores). The effects come in ascending
+// representative order, so comparisons walk them deterministically.
+func HeapEffects(om *heap.ObjectMemory, inputs map[heap.Word]int) []HeapEffect {
+	out := make([]HeapEffect, 0, len(inputs))
 	for w, rep := range inputs {
 		slots := om.SlotCountOf(w)
+		format := om.FormatOf(w)
 		body := make([]string, slots)
 		for i := 0; i < slots; i++ {
 			sw, err := om.FetchSlot(w, i)
@@ -130,14 +141,15 @@ func HeapEffects(om *heap.ObjectMemory, inputs map[heap.Word]int) map[int][]stri
 				body[i] = "?"
 				continue
 			}
-			if om.FormatOf(w) == heap.FormatBytes || om.FormatOf(w) == heap.FormatWords {
+			if format == heap.FormatBytes || format == heap.FormatWords {
 				body[i] = "raw:" + strconv.FormatInt(int64(sw), 10)
 			} else {
 				body[i] = Canonicalize(om, sw, inputs)
 			}
 		}
-		out[rep] = body
+		out = append(out, HeapEffect{Rep: rep, Body: body})
 	}
+	slices.SortFunc(out, func(a, b HeapEffect) int { return cmp.Compare(a.Rep, b.Rep) })
 	return out
 }
 

@@ -102,12 +102,10 @@ type UnitRun struct {
 	// Paths arrive path-major (all compilers × ISAs of a path together),
 	// so one slot suffices. refEnv owns the reference object memory and
 	// is retired when the path changes.
-	refPath   *concolic.PathResult
-	refEnv    *execEnv
-	refExit   interp.Exit
-	refFrame  *interp.Frame
-	refInputs map[heap.Word]int
-	refErr    error
+	refPath *concolic.PathResult
+	refEnv  *execEnv
+	ref     interpRef
+	refErr  error
 
 	// Retained optimization of the (path, compiler) most recently
 	// compiled. Every ISA and every blame prefix of that pair lowers
@@ -129,20 +127,53 @@ func (u *UnitRun) Close() {
 		u.t.putEnv(u.refEnv)
 		u.refEnv = nil
 	}
-	u.refPath = nil
+	u.refPath, u.ref = nil, interpRef{}
 	u.stPath, u.st, u.stErr = nil, nil, nil
+}
+
+// interpRef is the interpreter side of one path's comparisons: the
+// reference exit, the frame and object memory it left and the input map,
+// plus their canonical forms. The forms are rendered on the first
+// comparison and shared by every (compiler, ISA, blame stage) comparison
+// of the path, so the interpreter side is canonicalized once per path.
+type interpRef struct {
+	exit   interp.Exit
+	frame  *interp.Frame
+	om     *heap.ObjectMemory
+	inputs map[heap.Word]int
+
+	rendered     bool
+	result       string
+	stack, temps []string
+	effects      []HeapEffect
+}
+
+// canonical renders the reference's result, operand stack, temporaries
+// and input-object bodies on first use.
+func (r *interpRef) canonical() *interpRef {
+	if r.rendered {
+		return r
+	}
+	canonicalValues := func(vs []interp.Value) []string {
+		out := make([]string, len(vs))
+		for i, v := range vs {
+			out[i] = Canonicalize(r.om, v.W, r.inputs)
+		}
+		return out
+	}
+	r.result = Canonicalize(r.om, r.exit.Result.W, r.inputs)
+	r.stack, r.temps = canonicalValues(r.frame.Stack), canonicalValues(r.frame.Temps)
+	r.effects = HeapEffects(r.om, r.inputs)
+	r.rendered = true
+	return r
 }
 
 // reference returns the interpreter reference for path, computing it on
 // the first request and replaying the cached result for subsequent
 // (compiler, ISA) pairings of the same path.
-func (u *UnitRun) reference(path *concolic.PathResult) (interp.Exit, *interp.Frame, *heap.ObjectMemory, map[heap.Word]int, error) {
+func (u *UnitRun) reference(path *concolic.PathResult) (*interpRef, error) {
 	if u.refPath == path {
-		var om *heap.ObjectMemory
-		if u.refEnv != nil {
-			om = u.refEnv.om
-		}
-		return u.refExit, u.refFrame, om, u.refInputs, u.refErr
+		return &u.ref, u.refErr
 	}
 	if u.refEnv != nil {
 		u.t.putEnv(u.refEnv)
@@ -154,20 +185,22 @@ func (u *UnitRun) reference(path *concolic.PathResult) (interp.Exit, *interp.Fra
 	// leaves the slot empty, so the next call recomputes deterministically.
 	exit, frame, inputs, err := u.t.interpreterReference(env, u.target, u.ex, path)
 	u.refPath = path
-	u.refExit, u.refFrame, u.refInputs, u.refErr = exit, frame, inputs, err
+	u.ref = interpRef{exit: exit, frame: frame, inputs: inputs}
+	u.refErr = err
 	if err != nil {
 		u.t.putEnv(env)
-		return exit, frame, nil, inputs, err
+		return &u.ref, err
 	}
 	u.refEnv = env
-	return exit, frame, env.om, inputs, err
+	u.ref.om = env.om
+	return &u.ref, nil
 }
 
 // TestPath runs one concolic path against one compiler on one ISA within
 // a unit batch (Fig. 1 steps 2-4), reusing the per-path interpreter
 // reference.
 func (u *UnitRun) TestPath(path *concolic.PathResult, kind CompilerKind, isa machine.ISA) PathVerdict {
-	t, target := u.t, u.target
+	target := u.target
 	v := PathVerdict{Compiler: kind, ISA: isa}
 
 	// Expected failures of the test runner (§3.4): invalid frames always,
@@ -199,7 +232,7 @@ func (u *UnitRun) TestPath(path *concolic.PathResult, kind CompilerKind, isa mac
 		}
 	}
 
-	interpExit, interpFrame, interpOM, interpInputs, err := u.reference(path)
+	ref, err := u.reference(path)
 	if err != nil {
 		v.Skipped, v.Reason = true, "input construction failed: "+err.Error()
 		return v
@@ -216,7 +249,7 @@ func (u *UnitRun) TestPath(path *concolic.PathResult, kind CompilerKind, isa mac
 			v.Cause = verr.Blame()
 			v.Detail = "static IR verification failed: " + verr.Error()
 			v.Observed = &CompiledObservation{Kind: CompiledVerifierReject, Detail: verr.Error()}
-			v.InterpExit = interpExit
+			v.InterpExit = ref.exit
 			return v
 		}
 		if errors.Is(err, jit.ErrNotCompilable) {
@@ -227,13 +260,13 @@ func (u *UnitRun) TestPath(path *concolic.PathResult, kind CompilerKind, isa mac
 		return v
 	}
 	v.Observed = obs
-	v.InterpExit = interpExit
+	v.InterpExit = ref.exit
 
-	differs, detail := t.compare(target, interpExit, interpFrame, interpOM, interpInputs, obs)
+	differs, detail := compare(target, ref, obs)
 	v.Differs = differs
 	v.Detail = detail
 	if differs {
-		v.Cause = u.blamePath(path, kind, isa, interpExit, interpFrame, interpOM, interpInputs)
+		v.Cause = u.blamePath(path, kind, isa, ref)
 	}
 	return v
 }
@@ -254,7 +287,7 @@ func (t *Tester) TestPath(target concolic.Target, ex *concolic.Exploration, path
 // reference the front-end is blamed, otherwise the first pass whose
 // output flips the verdict is. Native methods have no pipeline, so every
 // native difference is a front-end difference.
-func (u *UnitRun) blamePath(path *concolic.PathResult, kind CompilerKind, isa machine.ISA, iExit interp.Exit, iFrame *interp.Frame, iOM *heap.ObjectMemory, iInputs map[heap.Word]int) string {
+func (u *UnitRun) blamePath(path *concolic.PathResult, kind CompilerKind, isa machine.ISA, ref *interpRef) string {
 	if kind == NativeMethodCompilerKind {
 		return "front-end"
 	}
@@ -266,7 +299,7 @@ func (u *UnitRun) blamePath(path *concolic.PathResult, kind CompilerKind, isa ma
 		if err != nil {
 			return "front-end"
 		}
-		if differs, _ := u.t.compare(u.target, iExit, iFrame, iOM, iInputs, obs); differs {
+		if differs, _ := compare(u.target, ref, obs); differs {
 			return st.StageName(k)
 		}
 	}
@@ -487,7 +520,8 @@ func pushWord(cpu *machine.CPU, w heap.Word) error {
 
 // compare validates the compiled observation against the interpreter
 // reference: exit-condition equivalence first, then frame effects.
-func (t *Tester) compare(target concolic.Target, iExit interp.Exit, iFrame *interp.Frame, iOM *heap.ObjectMemory, iInputs map[heap.Word]int, obs *CompiledObservation) (bool, string) {
+func compare(target concolic.Target, ref *interpRef, obs *CompiledObservation) (bool, string) {
+	iExit := ref.exit
 	if obs.Kind == CompiledCrash {
 		return true, fmt.Sprintf("interpreter exits %v but compiled code crashes (%s)", iExit, obs.Detail)
 	}
@@ -502,20 +536,20 @@ func (t *Tester) compare(target concolic.Target, iExit interp.Exit, iFrame *inte
 	}
 
 	if target.Kind == concolic.TargetNativeMethod {
-		return t.compareNative(iExit, iOM, iInputs, obs)
+		return compareNative(ref.canonical(), obs)
 	}
-	return t.compareBytecode(target, iExit, iFrame, iOM, iInputs, obs)
+	return compareBytecode(target, ref.canonical(), obs)
 }
 
-func (t *Tester) compareNative(iExit interp.Exit, iOM *heap.ObjectMemory, iInputs map[heap.Word]int, obs *CompiledObservation) (bool, string) {
+func compareNative(ref *interpRef, obs *CompiledObservation) (bool, string) {
+	iExit := ref.exit
 	switch iExit.Kind {
 	case interp.ExitSuccess:
 		if obs.Kind != CompiledReturned {
 			return true, fmt.Sprintf("interpreter succeeds but compiled code %s", obs.Kind)
 		}
-		want := Canonicalize(iOM, iExit.Result.W, iInputs)
-		if want != obs.Result {
-			return true, fmt.Sprintf("results differ: interpreter %s, compiled %s", want, obs.Result)
+		if ref.result != obs.Result {
+			return true, fmt.Sprintf("results differ: interpreter %s, compiled %s", ref.result, obs.Result)
 		}
 	case interp.ExitFailure:
 		if obs.Kind != CompiledFailure {
@@ -524,10 +558,11 @@ func (t *Tester) compareNative(iExit interp.Exit, iOM *heap.ObjectMemory, iInput
 	default:
 		return true, fmt.Sprintf("interpreter exit %v has no compiled counterpart (%s)", iExit, obs.Kind)
 	}
-	return t.compareHeap(iOM, iInputs, obs)
+	return compareHeap(ref.effects, obs.Heap)
 }
 
-func (t *Tester) compareBytecode(target concolic.Target, iExit interp.Exit, iFrame *interp.Frame, iOM *heap.ObjectMemory, iInputs map[heap.Word]int, obs *CompiledObservation) (bool, string) {
+func compareBytecode(target concolic.Target, ref *interpRef, obs *CompiledObservation) (bool, string) {
+	iExit := ref.exit
 	switch iExit.Kind {
 	case interp.ExitSuccess:
 		expected := CompiledEndFall
@@ -545,7 +580,7 @@ func (t *Tester) compareBytecode(target concolic.Target, iExit interp.Exit, iFra
 		if obs.Kind != expected && !(obs.Kind == CompiledEndFall && expected == CompiledJumpTaken && sameTarget(target, iExit)) {
 			return true, fmt.Sprintf("interpreter continues at pc %d but compiled code stops at %s", iExit.NextPC, obs.Kind)
 		}
-		if d, why := t.compareStackAndTemps(iFrame, iOM, iInputs, obs); d {
+		if d, why := compareStackAndTemps(ref, obs); d {
 			return true, why
 		}
 	case interp.ExitMessageSend:
@@ -555,21 +590,20 @@ func (t *Tester) compareBytecode(target concolic.Target, iExit interp.Exit, iFra
 		if obs.Selector != iExit.Selector || obs.NumArgs != iExit.NumArgs {
 			return true, fmt.Sprintf("send mismatch: interpreter #%s/%d, compiled #%s/%d", iExit.Selector, iExit.NumArgs, obs.Selector, obs.NumArgs)
 		}
-		if d, why := t.compareStackAndTemps(iFrame, iOM, iInputs, obs); d {
+		if d, why := compareStackAndTemps(ref, obs); d {
 			return true, why
 		}
 	case interp.ExitMethodReturn:
 		if obs.Kind != CompiledMethodReturn {
 			return true, fmt.Sprintf("interpreter returns but compiled code %s", obs.Kind)
 		}
-		want := Canonicalize(iOM, iExit.Result.W, iInputs)
-		if want != obs.Result {
-			return true, fmt.Sprintf("return values differ: interpreter %s, compiled %s", want, obs.Result)
+		if ref.result != obs.Result {
+			return true, fmt.Sprintf("return values differ: interpreter %s, compiled %s", ref.result, obs.Result)
 		}
 	default:
 		return true, fmt.Sprintf("interpreter exit %v has no compiled counterpart", iExit)
 	}
-	return t.compareHeap(iOM, iInputs, obs)
+	return compareHeap(ref.effects, obs.Heap)
 }
 
 // sameTarget reports whether the instruction's jump target coincides with
@@ -587,35 +621,31 @@ func sameTarget(target concolic.Target, iExit interp.Exit) bool {
 	return isJump && off == 0 && iExit.NextPC == next
 }
 
-func (t *Tester) compareStackAndTemps(iFrame *interp.Frame, iOM *heap.ObjectMemory, iInputs map[heap.Word]int, obs *CompiledObservation) (bool, string) {
-	wantStack := make([]heap.Word, iFrame.Size())
-	for i, v := range iFrame.Stack {
-		wantStack[i] = v.W
+func compareStackAndTemps(ref *interpRef, obs *CompiledObservation) (bool, string) {
+	if !stringSlicesEqual(ref.stack, obs.Stack) {
+		return true, fmt.Sprintf("operand stacks differ: interpreter %v, compiled %v", ref.stack, obs.Stack)
 	}
-	want := CanonicalizeAll(iOM, wantStack, iInputs)
-	if !stringSlicesEqual(want, obs.Stack) {
-		return true, fmt.Sprintf("operand stacks differ: interpreter %v, compiled %v", want, obs.Stack)
-	}
-	wantTemps := make([]heap.Word, len(iFrame.Temps))
-	for i, v := range iFrame.Temps {
-		wantTemps[i] = v.W
-	}
-	wt := CanonicalizeAll(iOM, wantTemps, iInputs)
-	if !stringSlicesEqual(wt, obs.Temps) {
-		return true, fmt.Sprintf("temporaries differ: interpreter %v, compiled %v", wt, obs.Temps)
+	if !stringSlicesEqual(ref.temps, obs.Temps) {
+		return true, fmt.Sprintf("temporaries differ: interpreter %v, compiled %v", ref.temps, obs.Temps)
 	}
 	return false, ""
 }
 
-func (t *Tester) compareHeap(iOM *heap.ObjectMemory, iInputs map[heap.Word]int, obs *CompiledObservation) (bool, string) {
-	want := HeapEffects(iOM, iInputs)
-	for rep, body := range want {
-		got, ok := obs.Heap[rep]
-		if !ok {
-			continue // object never materialized on the compiled side
+// compareHeap merge-walks the interpreter's and the compiled run's
+// input-object effects, both in ascending representative order, and
+// reports the lowest representative whose body differs. An object missing
+// on the compiled side was never materialized there and is skipped.
+func compareHeap(want, got []HeapEffect) (bool, string) {
+	j := 0
+	for _, w := range want {
+		for j < len(got) && got[j].Rep < w.Rep {
+			j++
 		}
-		if !stringSlicesEqual(body, got) {
-			return true, fmt.Sprintf("side effects on input object %d differ: interpreter %v, compiled %v", rep, body, got)
+		if j == len(got) || got[j].Rep != w.Rep {
+			continue
+		}
+		if !stringSlicesEqual(w.Body, got[j].Body) {
+			return true, fmt.Sprintf("side effects on input object %d differ: interpreter %v, compiled %v", w.Rep, w.Body, got[j].Body)
 		}
 	}
 	return false, ""

@@ -6,6 +6,7 @@ import (
 	"cogdiff/internal/bytecode"
 	"cogdiff/internal/concolic"
 	"cogdiff/internal/defects"
+	"cogdiff/internal/heap"
 	"cogdiff/internal/interp"
 	"cogdiff/internal/machine"
 	"cogdiff/internal/primitives"
@@ -399,6 +400,46 @@ func TestCachedExplorationDrivesDiffTesting(t *testing.T) {
 		if vf.Differs != vc.Differs || vf.Skipped != vc.Skipped {
 			t.Errorf("path %d: cached verdict drift (fresh differs=%v skipped=%v, cached differs=%v skipped=%v)",
 				i, vf.Differs, vf.Skipped, vc.Differs, vc.Skipped)
+		}
+	}
+}
+
+// TestCompareHeapNamesLowestRepresentative: when the side effects on
+// several input objects differ, the verdict names the lowest model
+// representative among them, whatever order the input map iterates in.
+func TestCompareHeapNamesLowestRepresentative(t *testing.T) {
+	// Both sides allocate the same objects in the same order, so one
+	// input map serves both; representatives run 8 down to 1.
+	build := func() (*heap.ObjectMemory, map[heap.Word]int, map[int]heap.Word) {
+		om := heap.NewBootedObjectMemory()
+		inputs, byRep := map[heap.Word]int{}, map[int]heap.Word{}
+		for rep := 8; rep >= 1; rep-- {
+			w, err := om.Allocate(heap.ClassIndexObject, heap.FormatPointers, 2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			inputs[w], byRep[rep] = rep, w
+		}
+		return om, inputs, byRep
+	}
+	interpOM, inputs, _ := build()
+	compiledOM, compiledInputs, byRep := build()
+	for w := range inputs {
+		if _, ok := compiledInputs[w]; !ok {
+			t.Fatal("the two heaps allocated the input objects at different addresses")
+		}
+	}
+	// The compiled run wrote into representatives 6 and 3.
+	for _, rep := range []int{6, 3} {
+		if err := compiledOM.StoreSlot(byRep[rep], 1, heap.SmallIntFor(int64(rep))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const want = "side effects on input object 3 differ: interpreter [nil nil], compiled [nil int:3]"
+	for run := 0; run < 50; run++ {
+		differs, detail := compareHeap(HeapEffects(interpOM, inputs), HeapEffects(compiledOM, inputs))
+		if !differs || detail != want {
+			t.Fatalf("run %d: compareHeap = %v, %q; want true, %q", run, differs, detail, want)
 		}
 	}
 }

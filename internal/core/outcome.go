@@ -105,8 +105,9 @@ type CompiledObservation struct {
 	Stack []string
 	// Temps is the canonicalized temporary frame.
 	Temps []string
-	// Heap is the canonicalized body of every input object.
-	Heap map[int][]string
+	// Heap is the canonicalized body of every input object, in ascending
+	// representative order.
+	Heap []HeapEffect
 	// Steps is the executed machine instruction count.
 	Steps int
 	// CodeBytes is the encoded size of the compiled method.

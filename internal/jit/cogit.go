@@ -2,6 +2,7 @@ package jit
 
 import (
 	"fmt"
+	"strconv"
 
 	"cogdiff/internal/bytecode"
 	"cogdiff/internal/defects"
@@ -33,15 +34,14 @@ type Cogit struct {
 	NoVerify bool
 
 	// per-compilation state
-	b           *ir.Builder
-	ss          []ssEntry
-	spilled     int
-	alloc       regAllocator
-	selectors   []Selector
-	selectorIdx map[string]int64
-	labelSeq    int
-	numTemps    int
-	usesJump    bool
+	b         *ir.Builder
+	ss        []ssEntry
+	spilled   int
+	alloc     regAllocator
+	selectors []Selector
+	labelSeq  int
+	numTemps  int
+	usesJump  bool
 	// methodJumpLabel, when non-empty, redirects jump byte-codes to a
 	// per-pc label (whole-method compilation) instead of the single
 	// instruction test schema's "jumpTaken" breakpoint.
@@ -61,7 +61,6 @@ func (c *Cogit) reset() {
 	c.ss = c.ss[:0]
 	c.spilled = 0
 	c.selectors = nil
-	c.selectorIdx = make(map[string]int64)
 	c.labelSeq = 0
 	c.usesJump = false
 	c.methodJumpLabel = ""
@@ -82,21 +81,22 @@ func (c *Cogit) fail(format string, args ...any) {
 
 func (c *Cogit) newLabel(prefix string) string {
 	c.labelSeq++
-	return fmt.Sprintf("%s_%d", prefix, c.labelSeq)
+	return prefix + "_" + strconv.Itoa(c.labelSeq)
 }
 
-// addSelector interns a send site and returns its identifier. The map
-// makes interning O(1) per site; the slice keeps identifiers stable and
-// dense for the trampoline's SelectorAt lookup.
+// addSelector interns a send site and returns its identifier: its index
+// in the selector slice, which keeps identifiers stable and dense for the
+// trampoline's SelectorAt lookup. A unit has a few send sites at most, so
+// a linear scan finds a repeated one.
 func (c *Cogit) addSelector(name string, numArgs int) int64 {
-	key := fmt.Sprintf("%s/%d", name, numArgs)
-	if id, ok := c.selectorIdx[key]; ok {
-		return id
+	sel := Selector{Name: name, NumArgs: numArgs}
+	for id, s := range c.selectors {
+		if s == sel {
+			return int64(id)
+		}
 	}
-	id := int64(len(c.selectors))
-	c.selectors = append(c.selectors, Selector{Name: name, NumArgs: numArgs})
-	c.selectorIdx[key] = id
-	return id
+	c.selectors = append(c.selectors, sel)
+	return int64(len(c.selectors) - 1)
 }
 
 // ---- simulation stack ----

@@ -2,7 +2,6 @@ package sym
 
 import (
 	"fmt"
-	"strings"
 
 	"cogdiff/internal/heap"
 )
@@ -151,45 +150,22 @@ func (Opaque) constraint()           {}
 func (AllOf) constraint()            {}
 func (AnyOf) constraint()            {}
 
-func (c TypeIs) String() string {
-	switch c.Kind {
-	case KindSmallInt:
-		return fmt.Sprintf("isSmallInteger(%s)", c.V)
-	case KindFloat:
-		return fmt.Sprintf("isFloat(%s)", c.V)
-	default:
-		return fmt.Sprintf("is%s(%s)", strings.Title(c.Kind.String()), c.V)
-	}
-}
-func (c ClassIs) String() string  { return fmt.Sprintf("classIndexOf(%s) = %d", c.V, c.ClassIndex) }
-func (c FormatIs) String() string { return fmt.Sprintf("formatOf(%s) = %s", c.V, c.F) }
-func (c ICmp) String() string     { return fmt.Sprintf("%s %s %s", c.L, c.Op, c.R) }
-func (c FCmp) String() string     { return fmt.Sprintf("%s %s %s", c.L, c.Op, c.R) }
-func (c InSmallIntRange) String() string {
-	return fmt.Sprintf("isIntegerValue(%s)", c.E)
-}
-func (c StackSizeAtLeast) String() string { return fmt.Sprintf("operand_stack_size >= %d", c.N) }
-func (c SlotCountAtLeast) String() string { return fmt.Sprintf("slotCountOf(%s) >= %d", c.V, c.N) }
-func (c Identical) String() string        { return fmt.Sprintf("%s == %s", c.A, c.B) }
-func (c Bool) String() string             { return fmt.Sprintf("%t", c.B) }
-func (c Not) String() string              { return fmt.Sprintf("!(%s)", c.C) }
+func (c TypeIs) String() string           { return render(c) }
+func (c ClassIs) String() string          { return render(c) }
+func (c FormatIs) String() string         { return render(c) }
+func (c ICmp) String() string             { return render(c) }
+func (c FCmp) String() string             { return render(c) }
+func (c InSmallIntRange) String() string  { return render(c) }
+func (c StackSizeAtLeast) String() string { return render(c) }
+func (c SlotCountAtLeast) String() string { return render(c) }
+func (c Identical) String() string        { return render(c) }
+func (c Bool) String() string             { return render(c) }
+func (c Not) String() string              { return render(c) }
 func (c Opaque) String() string           { return c.Text }
+func (c AllOf) String() string            { return render(c) }
+func (c AnyOf) String() string            { return render(c) }
 
-func (c AllOf) String() string {
-	parts := make([]string, len(c))
-	for i, e := range c {
-		parts[i] = e.String()
-	}
-	return "(" + strings.Join(parts, " AND ") + ")"
-}
-
-func (c AnyOf) String() string {
-	parts := make([]string, len(c))
-	for i, e := range c {
-		parts[i] = e.String()
-	}
-	return "(" + strings.Join(parts, " OR ") + ")"
-}
+func render(c Constraint) string { return string(AppendConstraint(nil, c)) }
 
 // Negate returns the logical negation of c, pushing the negation inward
 // where a direct complement exists (comparison flips, De Morgan).
@@ -242,23 +218,19 @@ func (p Path) Constraints() []Constraint {
 }
 
 func (p Path) String() string {
-	parts := make([]string, len(p))
+	var b []byte
 	for i, c := range p {
-		s := c.C.String()
-		if c.Assumed {
-			s = "*" + s
+		if i > 0 {
+			b = append(b, " AND "...)
 		}
-		parts[i] = s
+		if c.Assumed {
+			b = append(b, '*')
+		}
+		b = AppendConstraint(b, c.C)
 	}
-	return strings.Join(parts, " AND ")
+	return string(b)
 }
 
 // Signature returns a canonical string identifying the path's constraint
 // sequence; the explorer uses it to avoid re-exploring identical prefixes.
-func (p Path) Signature() string {
-	parts := make([]string, len(p))
-	for i, c := range p {
-		parts[i] = c.C.String()
-	}
-	return strings.Join(parts, "&")
-}
+func (p Path) Signature() string { return string(p.appendSignature(nil)) }

@@ -1,7 +1,5 @@
 package sym
 
-import "fmt"
-
 // BinOp enumerates arithmetic operators in symbolic expressions.
 type BinOp int
 
@@ -65,10 +63,10 @@ func (IntValueOf) intExpr()  {}
 func (SlotCountOf) intExpr() {}
 func (IntBin) intExpr()      {}
 
-func (e IntConst) String() string    { return fmt.Sprintf("%d", e.V) }
-func (e IntValueOf) String() string  { return fmt.Sprintf("intValueOf(%s)", e.V) }
-func (e SlotCountOf) String() string { return fmt.Sprintf("slotCountOf(%s)", e.V) }
-func (e IntBin) String() string      { return fmt.Sprintf("(%s %s %s)", e.L, e.Op, e.R) }
+func (e IntConst) String() string    { return string(appendIntExpr(nil, e)) }
+func (e IntValueOf) String() string  { return string(appendIntExpr(nil, e)) }
+func (e SlotCountOf) String() string { return string(appendIntExpr(nil, e)) }
+func (e IntBin) String() string      { return string(appendIntExpr(nil, e)) }
 
 // FloatExpr is a symbolic float-valued expression.
 type FloatExpr interface {
@@ -98,10 +96,10 @@ func (FloatValueOf) floatExpr() {}
 func (IntToFloat) floatExpr()   {}
 func (FloatBin) floatExpr()     {}
 
-func (e FloatConst) String() string   { return fmt.Sprintf("%g", e.V) }
-func (e FloatValueOf) String() string { return fmt.Sprintf("floatValueOf(%s)", e.V) }
-func (e IntToFloat) String() string   { return fmt.Sprintf("intToFloat(%s)", e.E) }
-func (e FloatBin) String() string     { return fmt.Sprintf("(%s %s %s)", e.L, e.Op, e.R) }
+func (e FloatConst) String() string   { return string(appendFloatExpr(nil, e)) }
+func (e FloatValueOf) String() string { return string(appendFloatExpr(nil, e)) }
+func (e IntToFloat) String() string   { return string(appendFloatExpr(nil, e)) }
+func (e FloatBin) String() string     { return string(appendFloatExpr(nil, e)) }
 
 // ValExpr symbolically describes one VM value (a tagged word): where it
 // came from and, for derived values, how it was computed. Abstract output
@@ -134,9 +132,9 @@ func (BoolObj) valExpr()  {}
 func (KnownObj) valExpr() {}
 
 func (e VarRef) String() string   { return e.V.String() }
-func (e IntObj) String() string   { return fmt.Sprintf("int(%s)", e.E) }
-func (e FloatObj) String() string { return fmt.Sprintf("float(%s)", e.E) }
-func (e BoolObj) String() string  { return fmt.Sprintf("bool(%s)", e.C) }
+func (e IntObj) String() string   { return string(append(appendIntExpr([]byte("int("), e.E), ')')) }
+func (e FloatObj) String() string { return string(append(appendFloatExpr([]byte("float("), e.E), ')')) }
+func (e BoolObj) String() string  { return string(append(AppendConstraint([]byte("bool("), e.C), ')')) }
 func (e KnownObj) String() string { return e.Name }
 
 // VarsOfInt collects the variables appearing in an integer expression.

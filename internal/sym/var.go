@@ -9,10 +9,7 @@
 // solver needs no bitwise theory (mirroring the paper's solver limits).
 package sym
 
-import (
-	"fmt"
-	"sync"
-)
+import "sync"
 
 // RoleKind identifies what a symbolic variable stands for inside the
 // abstract input frame.
@@ -63,19 +60,7 @@ type Var struct {
 	Role Role
 }
 
-func (v *Var) String() string {
-	if v == nil {
-		return "<nil var>"
-	}
-	switch v.Role.Kind {
-	case RoleReceiver:
-		return "receiver"
-	case RoleSlot:
-		return fmt.Sprintf("v%d.slot%d", v.Role.OwnerID, v.Role.Index)
-	default:
-		return fmt.Sprintf("%s%d", v.Role.Kind, v.Role.Index)
-	}
-}
+func (v *Var) String() string { return string(appendVar(nil, v)) }
 
 // Universe interns symbolic variables by role.
 //

@@ -122,7 +122,7 @@ type SequenceResult struct {
 func TestProgram(p *Program, receiver int64, args ...int64) ([]SequenceResult, error) {
 	m, err := p.b.Method()
 	if err != nil {
-		return nil, fmt.Errorf("cogdiff: %w", err)
+		return nil, fmt.Errorf("assemble program: %w", err)
 	}
 	in := core.SequenceInput{Receiver: core.Int64(receiver)}
 	for _, a := range args {
